@@ -9,7 +9,6 @@ exactly.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -69,11 +68,21 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
+    def sign_at(self, num: int, den: int) -> int:
+        """Sign (-1/0/+1) of the polynomial at num/den, for den > 0.
+
+        Integer-only homogeneous Horner: the accumulator ends at
+        sum c_i * num^i * den^(deg-i) = den^deg * poly(num/den), which has
+        the sign of poly(num/den) because den > 0.  No gcd is ever taken.
+        """
+        acc, pw = 0, 1
+        for c in reversed(self.coeffs):
+            acc = acc * num + c * pw
+            pw *= den
+        return (acc > 0) - (acc < 0)
+
     def to_json(self) -> dict:
         return {"coeffs": [str(c) for c in self.coeffs], "ascending": True}
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json())
 
 
 def linear(c: int) -> IntPolynomial:

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from fractions import Fraction
 
 from . import extremal, oracle, partitions, spectrum
 from .charpoly import char_poly_factored
@@ -26,6 +28,17 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(EXIT_USAGE)
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for tolerances: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
 
 
 def _fmt(value: float) -> float:
@@ -63,7 +76,10 @@ def build_parser() -> _Parser:
     add("inertia", "signature (n+, n0, n-)", 1)
     add("energy", "squared distance energy", 1)
     radius = add("radius", "spectral radius with bracket", 1)
-    radius.add_argument("--tol", type=float, default=None)
+    radius.add_argument(
+        "--tol", type=_positive_float, default=None,
+        help="widest allowed bracket (default 1e-12)",
+    )
     add("charpoly", "factored characteristic polynomial", 1)
 
     scan_e = add("scan-energy", "energy scan over all partitions of (n,t)")
@@ -84,7 +100,7 @@ def build_parser() -> _Parser:
 
     verify = sub.add_parser("verify", help="oracle sweep up to n = nmax")
     verify.add_argument("--nmax", type=int, required=True)
-    verify.add_argument("--tol", type=float, default=oracle.DEFAULT_TOL)
+    verify.add_argument("--tol", type=_positive_float, default=oracle.DEFAULT_TOL)
     verify.add_argument("--json", action="store_true", default=False)
 
     return parser
@@ -123,7 +139,8 @@ def run(argv) -> int:
             )
         elif args.command == "radius":
             p = partitions.parse_partition(args.partition)
-            value, (lo, hi) = spectrum.spectral_radius(p)
+            width = spectrum.BRACKET_WIDTH if args.tol is None else Fraction(args.tol)
+            value, (lo, hi) = spectrum.spectral_radius(p, width)
             _emit({"value": _fmt(value), "lo": lo, "hi": hi})
         elif args.command == "charpoly":
             p = partitions.parse_partition(args.partition)

@@ -8,7 +8,6 @@ exact rational bisection until disjoint.  Float equality is never used.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -306,9 +305,5 @@ def elementary_neighbors(p: Partition) -> list[Partition]:
                 moved = list(parts)
                 moved[a] -= 1
                 moved[b] += 1
-                out.add(Partition(tuple(sorted(moved, reverse=True))))
+                out.add(Partition(tuple(moved)))
     return sorted(out)
-
-
-def scan_report_to_json_str(report: ScanReport) -> str:
-    return json.dumps(report.to_json())

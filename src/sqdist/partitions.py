@@ -8,7 +8,6 @@ this tuple.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -28,11 +27,18 @@ from .errors import (
 class Partition:
     """Descending tuple of positive part sizes; the sole graph identifier.
 
+    The constructor sorts the parts descending and rejects parts < 1 with
+    NonPositivePart; canonicalize also rejects fewer than two parts.
     Derived counts: n = sum of parts, t = number of parts, h = number of
     singleton parts, s = t - h (parts of size >= 2 come first).
     """
 
     parts: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if min(self.parts, default=1) < 1:
+            raise NonPositivePart(f"all parts must be >= 1, got {list(self.parts)}")
+        object.__setattr__(self, "parts", tuple(sorted(self.parts, reverse=True)))
 
     @property
     def n(self) -> int:
@@ -67,9 +73,6 @@ class Partition:
             "s": self.s,
         }
 
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json())
-
 
 @dataclass(frozen=True)
 class MajorizationStep:
@@ -92,16 +95,15 @@ class Verdict(enum.Enum):
 
 def canonicalize(raw: Sequence[int]) -> Partition:
     """Validate and sort a raw part-size sequence into a Partition."""
-    parts = list(raw)
+    parts = tuple(raw)
     if not parts:
         raise EmptyInput("partition must have at least one part")
-    if any(p < 1 for p in parts):
-        raise NonPositivePart(f"all parts must be >= 1, got {parts}")
-    if len(parts) < 2:
+    p = Partition(parts)  # sorts, and rejects parts < 1
+    if p.t < 2:
         raise PartCountBelowTwo(
             "need at least two parts (t = 1 gives a disconnected complement)"
         )
-    return Partition(tuple(sorted(parts, reverse=True)))
+    return p
 
 
 def parse_partition(text: str) -> Partition:

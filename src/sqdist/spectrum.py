@@ -4,7 +4,11 @@ The residual polynomial splits analytically: repeated part sizes m (k copies)
 contribute 3m-4 exactly with multiplicity k-1, and what remains is a secular
 function with simple poles at the distinct 3m-4 and exactly one simple root
 per gap.  Those simple roots are isolated by bisection with exact integer
-sign evaluation, so every bracket is certified, not heuristic.
+sign evaluation, so every bracket is certified, not heuristic: the bracket
+ends are integer numerators over one common denominator that doubles with
+each halving, and the sign of the residual at num/den is read off the
+integer den^deg * P(num/den) (IntPolynomial.sign_at).  No Fraction is formed
+until the final bracket, and each query isolates only the roots it reports.
 """
 
 from __future__ import annotations
@@ -149,10 +153,6 @@ def deflated_residual(p: Partition) -> IntPolynomial:
     return linear(1) * secular - prod_all.scale(p.h)
 
 
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
-
-
 def _bisect(
     poly: IntPolynomial,
     lo: Fraction,
@@ -160,9 +160,18 @@ def _bisect(
     max_steps: int,
     width: Fraction,
 ) -> tuple[Fraction, Fraction]:
-    """Shrink [lo, hi] around the single sign change of poly inside it."""
-    s_lo = _sign(poly(lo))
-    s_hi = _sign(poly(hi))
+    """Shrink [lo, hi] around the single sign change of poly inside it.
+
+    The endpoints are kept as integer numerators a, b over one common
+    denominator d; each step doubles d, so the midpoint (a+b)/2d is exact and
+    every sign comes from IntPolynomial.sign_at.  Fractions are built only
+    for the returned bracket.
+    """
+    d = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (d // lo.denominator)
+    b = hi.numerator * (d // hi.denominator)
+    s_lo = poly.sign_at(a, d)
+    s_hi = poly.sign_at(b, d)
     if s_lo == 0 or s_hi == 0:
         mid = lo if s_lo == 0 else hi
         return mid - _EXACT_NUDGE, mid + _EXACT_NUDGE
@@ -170,22 +179,27 @@ def _bisect(
         raise BracketFailure(
             f"no sign change of {poly.coeffs} on [{lo}, {hi}]"
         )
+    wn, wd = width.numerator, width.denominator
     for _ in range(max_steps):
-        if hi - lo <= width:
+        if (b - a) * wd <= wn * d:
             break
-        mid = (lo + hi) / 2
-        s_mid = _sign(poly(mid))
+        mid = a + b
+        a, b, d = 2 * a, 2 * b, 2 * d
+        s_mid = poly.sign_at(mid, d)
         if s_mid == 0:
-            return mid - _EXACT_NUDGE, mid + _EXACT_NUDGE
+            mid_exact = Fraction(mid, d)
+            return mid_exact - _EXACT_NUDGE, mid_exact + _EXACT_NUDGE
         if s_mid == s_lo:
-            lo = mid
+            a = mid
         else:
-            hi = mid
-    return lo, hi
+            b = mid
+    return Fraction(a, d), Fraction(b, d)
 
 
-def _isolate(poly: IntPolynomial, lo: Fraction, hi: Fraction) -> IsolatedRoot:
-    lo2, hi2 = _bisect(poly, lo, hi, BISECT_STEPS, BRACKET_WIDTH)
+def _isolate(
+    poly: IntPolynomial, lo: Fraction, hi: Fraction, width: Fraction = BRACKET_WIDTH
+) -> IsolatedRoot:
+    lo2, hi2 = _bisect(poly, lo, hi, BISECT_STEPS, width)
     return IsolatedRoot(float((lo2 + hi2) / 2), lo2, hi2, poly)
 
 
@@ -261,26 +275,34 @@ def energy(p: Partition) -> EnergyReport:
     ip = 8 * (n - t) + 2 * (h - 1)
     if s == 0 or lambda_s1_sign(p) is not Sign.NEGATIVE:
         return EnergyReport(ip, None, None, float(ip))
-    lam = secular_roots(p)[0]  # the unique root in (-1, 0)
+    # the unique root in (-1, 0) lies in the lowest secular gap
+    lowest_pole = 3 * min(p.big_parts) - 4
+    lam = _isolate(deflated_residual(p), Fraction(-1), Fraction(lowest_pole))
     if not (Fraction(-1) < lam.lo_exact and lam.hi_exact < 0):
         lam = lam.refined(40)
     theta = -lam.value
     return EnergyReport(ip, theta, lam, ip + 2 * theta)
 
 
-def spectral_radius(p: Partition) -> tuple[float, tuple[float, float]]:
-    """Largest eigenvalue via bisection on a certified Perron bracket."""
-    root = spectral_radius_root(p)
+def spectral_radius(
+    p: Partition, width: Fraction = BRACKET_WIDTH
+) -> tuple[float, tuple[float, float]]:
+    """Largest eigenvalue via bisection on a certified Perron bracket.
+
+    Bisection stops once the bracket is at most width wide (or after
+    BISECT_STEPS halvings).
+    """
+    root = spectral_radius_root(p, width)
     return root.value, (root.lo, root.hi)
 
 
-def spectral_radius_root(p: Partition) -> IsolatedRoot:
+def spectral_radius_root(p: Partition, width: Fraction = BRACKET_WIDTH) -> IsolatedRoot:
     poly = deflated_residual(p)
     if p.s == 0:
         r = Fraction(p.h - 1)
         return IsolatedRoot(float(r), r - _EXACT_NUDGE, r + _EXACT_NUDGE, poly)
     lower = Fraction(max(4 * (p.parts[0] - 1), 3 * p.parts[0] - 4))
-    return _isolate(poly, lower, Fraction(_upper_bound(p)))
+    return _isolate(poly, lower, Fraction(_upper_bound(p)), width)
 
 
 def radius_bipartite_closed(n1: int, n2: int) -> float:

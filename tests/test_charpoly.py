@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import all_partitions_upto, bareiss_det, charpoly_via_bareiss
 from sqdist.charpoly import (
@@ -39,6 +41,34 @@ class TestIntPolynomial:
 
     def test_json(self):
         assert linear(4).to_json() == {"coeffs": ["4", "1"], "ascending": True}
+
+    def test_sign_at_examples(self):
+        p = IntPolynomial((-1, 3)) * linear(2)  # (3x - 1)(x + 2)
+        assert p.sign_at(1, 3) == 0 and p.sign_at(2, 6) == 0  # reduced or not
+        assert p.sign_at(-2, 1) == 0
+        assert p.sign_at(1, 2) == 1 and p.sign_at(0, 7) == -1
+        assert p.sign_at(-5, 1) == 1
+        assert IntPolynomial(()).sign_at(3, 5) == 0
+
+    @given(
+        coeffs=st.lists(st.integers(-(10**60), 10**60), min_size=1, max_size=91),
+        num=st.integers(-(10**30), 10**30),
+        den=st.integers(1, 10**30),
+    )
+    def test_sign_at_matches_fraction_horner(self, coeffs, num, den):
+        poly = IntPolynomial.make(coeffs)
+        value = poly(Fraction(num, den))
+        assert poly.sign_at(num, den) == (value > 0) - (value < 0)
+
+    @given(
+        coeffs=st.lists(st.integers(-(10**60), 10**60), min_size=1, max_size=89),
+        num=st.integers(-(10**30), 10**30),
+        den=st.integers(1, 10**30),
+    )
+    def test_sign_at_exact_root(self, coeffs, num, den):
+        # den*x - num vanishes at num/den whether or not the fraction is reduced
+        poly = IntPolynomial((-num, den)) * IntPolynomial.make(coeffs)
+        assert poly.sign_at(num, den) == 0
 
 
 class TestReducedMatrix:

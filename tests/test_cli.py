@@ -69,6 +69,13 @@ class TestQueries:
         # value is rounded to 12 significant digits for display
         assert payload["lo"] - 1e-9 <= payload["value"] <= payload["hi"] + 1e-9
 
+    def test_radius_tol(self, capsys):
+        code, out, _ = run(capsys, "radius", "3,2", "--tol", "0.5")
+        assert code == 0
+        payload = json.loads(out)
+        assert 1e-3 < payload["hi"] - payload["lo"] <= 0.5
+        assert payload["lo"] < 6 + math.sqrt(10) < payload["hi"]
+
     def test_charpoly(self, capsys):
         code, out, _ = run(capsys, "charpoly", "2,1,1")
         assert code == 0
@@ -146,6 +153,25 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             cli.run(["scan-h", "17", "10"])  # missing required --h
         assert excinfo.value.code == 64
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--nmax", "3", "--tol", "0"],
+            ["radius", "3,2", "--tol", "-0.5"],
+            ["radius", "3,2", "--tol", "nan"],
+            ["radius", "3,2", "--tol", "abc"],
+        ],
+    )
+    def test_usage_error_bad_tol(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.run(argv)
+        assert excinfo.value.code == 64
+        errors = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("error:")
+        ]
+        assert len(errors) == 1 and "--tol" in errors[0]
 
     def test_main_raises_systemexit(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.argv", ["sqdist", "energy", "3,2"])

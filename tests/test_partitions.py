@@ -62,6 +62,11 @@ class TestCanonicalize:
         with pytest.raises(NonPositivePart):
             canonicalize([-1, 2])
 
+    def test_constructor_sorts_and_validates(self):
+        assert Partition((1, 2, 2)) == canonicalize([2, 2, 1])
+        with pytest.raises(NonPositivePart):
+            Partition((2, 0))
+
     def test_single_part_rejected(self):
         with pytest.raises(PartCountBelowTwo):
             canonicalize([4])

@@ -1,12 +1,17 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import all_partitions_upto
-from sqdist.charpoly import Sign, lambda_s1_sign
-from sqdist.partitions import Partition
+from sqdist.charpoly import IntPolynomial, Sign, lambda_s1_sign, linear
+from sqdist.errors import BracketFailure
+from sqdist.partitions import Partition, canonicalize
 from sqdist.spectrum import (
+    BISECT_STEPS,
+    BRACKET_WIDTH,
+    _bisect,
     deflated_residual,
     energy,
     full_spectrum,
@@ -26,6 +31,95 @@ def _approx_set(got, expected, tol=1e-9):
     assert len(got) == len(expected)
     for a, b in zip(sorted(got), sorted(expected)):
         assert abs(a - b) <= tol
+
+
+def _fraction_bisect(poly, lo, hi, max_steps, width):
+    """Reference bisection in Fraction arithmetic, one Horner per sign."""
+    nudge = Fraction(1, 2**60)
+
+    def sign(x):
+        v = poly(x)
+        return (v > 0) - (v < 0)
+
+    s_lo, s_hi = sign(lo), sign(hi)
+    if s_lo == 0 or s_hi == 0:
+        mid = lo if s_lo == 0 else hi
+        return mid - nudge, mid + nudge
+    if s_lo == s_hi:
+        raise BracketFailure("no sign change")
+    for _ in range(max_steps):
+        if hi - lo <= width:
+            break
+        mid = (lo + hi) / 2
+        s_mid = sign(mid)
+        if s_mid == 0:
+            return mid - nudge, mid + nudge
+        if s_mid == s_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _initial_brackets(p):
+    """Every starting bracket the spectrum module bisects for p (s >= 1)."""
+    poles = sorted({3 * m - 4 for m in p.big_parts})
+    ends = ([-1] if p.h >= 1 else []) + poles + [3 * p.parts[0] + p.n - 4]
+    brackets = list(zip(ends, ends[1:]))
+    brackets.append((max(4 * (p.parts[0] - 1), 3 * p.parts[0] - 4), ends[-1]))
+    return [(Fraction(a), Fraction(b)) for a, b in brackets]
+
+
+def _stress_partitions():
+    rng = random.Random(20120434)
+    huge = [
+        canonicalize(
+            [rng.randint(2, 10**20) for _ in range(rng.randint(2, 5))]
+            + [1] * rng.randint(0, 2)
+        )
+        for _ in range(8)
+    ]
+    wide = [
+        canonicalize(rng.sample(range(2, 400), 25) + [1] * rng.randint(1, 3))
+        for _ in range(2)
+    ]
+    knife = [
+        canonicalize(parts)
+        for parts in [(2, 1, 1), (2, 2, 1, 1, 1), (4, 4, 2, 1, 1, 1), (4, 4, 4, 4, 1, 1, 1)]
+    ]
+    assert all(lambda_s1_sign(p) is Sign.ZERO for p in knife)
+    return huge + wide + knife + [canonicalize((2, 2)), canonicalize((5, 4, 2, 1, 1))]
+
+
+class TestBisect:
+    """The integer bisection reproduces the Fraction bisection exactly."""
+
+    @pytest.mark.parametrize("p", _stress_partitions(), ids=str)
+    def test_matches_fraction_reference(self, p):
+        poly = deflated_residual(p)
+        for lo, hi in _initial_brackets(p):
+            got = _bisect(poly, lo, hi, BISECT_STEPS, BRACKET_WIDTH)
+            assert got == _fraction_bisect(poly, lo, hi, BISECT_STEPS, BRACKET_WIDTH)
+            # refinement starts from a dyadic bracket with width 0
+            assert _bisect(poly, *got, 50, Fraction(0)) == _fraction_bisect(
+                poly, *got, 50, Fraction(0)
+            )
+
+    def test_exact_hits_and_non_dyadic_ends(self):
+        p = IntPolynomial((-1, 2)) * IntPolynomial((-7, 3))  # roots 1/2, 7/3
+        cases = [
+            (Fraction(0), Fraction(1)),  # first midpoint is the root
+            (Fraction(1, 2), Fraction(1)),  # root at an endpoint
+            (Fraction(1, 3), Fraction(5, 7)),  # non-dyadic common denominator
+            (Fraction(2), Fraction(17, 5)),
+        ]
+        for lo, hi in cases:
+            for width in (BRACKET_WIDTH, Fraction(1, 10), Fraction(0)):
+                assert _bisect(p, lo, hi, 60, width) == _fraction_bisect(p, lo, hi, 60, width)
+
+    def test_no_sign_change(self):
+        with pytest.raises(BracketFailure):
+            _bisect(linear(-5), Fraction(0), Fraction(1), 60, BRACKET_WIDTH)
 
 
 class TestSecularRoots:
@@ -175,6 +269,20 @@ class TestEnergy:
             base = 8 * (p.n - p.t) + 2 * (p.h - 1)
             assert rep.integer_part == base
             assert base <= rep.value < base + 2
+
+    def test_unsorted_constructor(self):
+        assert energy(Partition((1, 2, 2))) == energy(canonicalize([2, 2, 1]))
+
+    def test_theta_root_is_lowest_secular_root(self):
+        small = [Partition(parts) for _, _, parts in all_partitions_upto(12)]
+        for p in _stress_partitions() + small:
+            root = energy(p).theta_root
+            if root is None:
+                continue
+            first = secular_roots(p)[0]
+            if not (-1 < first.lo_exact and first.hi_exact < 0):
+                first = first.refined(40)  # as energy() tightens a bracket touching -1 or 0
+            assert (root.lo_exact, root.hi_exact) == (first.lo_exact, first.hi_exact)
 
     def test_energy_at_least_twice_radius(self):
         # trace 0 makes E = 2 * (sum of positives) >= 2 * rho
