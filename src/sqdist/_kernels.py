@@ -1,86 +1,30 @@
 """Hot numeric kernels: cyclic Jacobi eigensolver and BFS all-pairs distances.
 
-Both kernels ship in two functionally identical flavours: a numba @njit
-version and a pure-numpy fallback.  Set SQDIST_PURE_NUMPY=1 to force the
-fallback (also used automatically when numba is unavailable).  The
-benchmarks/ directory compares the two.
+Both are plain numpy: Jacobi rotations update whole rows and columns at a
+time, and BFS expands the frontiers of all sources at once.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 _MAX_SWEEPS = 100
 
-USE_NUMBA = os.environ.get("SQDIST_PURE_NUMPY", "0") != "1"
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
 
-if not USE_NUMBA:
+def jacobi_eigensystem(mat: np.ndarray, tol_abs: float, max_sweeps: int = _MAX_SWEEPS):
+    """Cyclic Jacobi rotations on a copy of mat; returns (eigvals, sweeps, off).
 
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
-
-
-@njit(cache=True, nogil=True)
-def _jacobi_sweeps(a, tol_abs, max_sweeps):
-    """Cyclic Jacobi rotations in place; returns (sweeps_done, off_norm).
-
-    a is destroyed; its diagonal holds the eigenvalues on return.
+    Sweeps stop once the off-diagonal norm is at most tol_abs or after
+    max_sweeps sweeps; off is the last norm measured.
     """
+    a = np.array(mat, dtype=np.float64, copy=True)
     n = a.shape[0]
-    sweeps = 0
-    off = 0.0
-    for sweeps in range(max_sweeps + 1):
-        off = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                off += 2.0 * a[i, j] * a[i, j]
-        off = math.sqrt(off)
-        if off <= tol_abs:
-            return sweeps, off
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta >= 0.0:
-                    t = 1.0 / (theta + math.sqrt(1.0 + theta * theta))
-                else:
-                    t = -1.0 / (-theta + math.sqrt(1.0 + theta * theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                for k in range(n):
-                    akp = a[k, p]
-                    akq = a[k, q]
-                    a[k, p] = c * akp - s * akq
-                    a[k, q] = s * akp + c * akq
-                for k in range(n):
-                    apk = a[p, k]
-                    aqk = a[q, k]
-                    a[p, k] = c * apk - s * aqk
-                    a[q, k] = s * apk + c * aqk
-    return sweeps, off
-
-
-def _jacobi_sweeps_numpy(a, tol_abs, max_sweeps):
-    """Pure-numpy twin of _jacobi_sweeps (row/col updates vectorized)."""
-    n = a.shape[0]
-    sweeps = 0
-    off = 0.0
     for sweeps in range(max_sweeps + 1):
         off = math.sqrt(2.0 * np.sum(np.triu(a, 1) ** 2))
         if off <= tol_abs:
-            return sweeps, off
+            break
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p, q]
@@ -100,33 +44,11 @@ def _jacobi_sweeps_numpy(a, tol_abs, max_sweeps):
                 row_q = a[q, :].copy()
                 a[p, :] = c * row_p - s * row_q
                 a[q, :] = s * row_p + c * row_q
-    return sweeps, off
+    return np.diag(a).copy(), sweeps, off
 
 
-@njit(cache=True, nogil=True)
-def _bfs_all_pairs(adj):
+def bfs_distances(adj: np.ndarray) -> np.ndarray:
     """BFS from every source on a dense adjacency matrix; -1 = unreachable."""
-    n = adj.shape[0]
-    dist = np.full((n, n), -1, dtype=np.int64)
-    queue = np.empty(n, dtype=np.int64)
-    for src in range(n):
-        dist[src, src] = 0
-        queue[0] = src
-        head, tail = 0, 1
-        while head < tail:
-            u = queue[head]
-            head += 1
-            du = dist[src, u]
-            for v in range(n):
-                if adj[u, v] and dist[src, v] < 0:
-                    dist[src, v] = du + 1
-                    queue[tail] = v
-                    tail += 1
-    return dist
-
-
-def _bfs_all_pairs_numpy(adj):
-    """Pure-numpy twin: frontier expansion for all sources at once."""
     n = adj.shape[0]
     reach = np.eye(n, dtype=bool)
     frontier = np.eye(n, dtype=bool)
@@ -139,19 +61,3 @@ def _bfs_all_pairs_numpy(adj):
         dist[frontier] = d
         reach |= frontier
     return dist
-
-
-def jacobi_eigensystem(mat: np.ndarray, tol_abs: float, max_sweeps: int = _MAX_SWEEPS):
-    """Run the selected Jacobi kernel on a copy; returns (eigvals, sweeps, off)."""
-    work = np.array(mat, dtype=np.float64, copy=True)
-    if USE_NUMBA:
-        sweeps, off = _jacobi_sweeps(work, tol_abs, max_sweeps)
-    else:
-        sweeps, off = _jacobi_sweeps_numpy(work, tol_abs, max_sweeps)
-    return np.diag(work).copy(), sweeps, off
-
-
-def bfs_distances(adj: np.ndarray) -> np.ndarray:
-    if USE_NUMBA:
-        return _bfs_all_pairs(adj.astype(np.uint8))
-    return _bfs_all_pairs_numpy(adj)

@@ -37,18 +37,6 @@ class IntPolynomial:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial.make(out)
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + other.scale(-1)
-
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not self.coeffs or not other.coeffs:
             return IntPolynomial(())
@@ -57,9 +45,6 @@ class IntPolynomial:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return IntPolynomial.make(out)
-
-    def scale(self, c: int) -> "IntPolynomial":
-        return IntPolynomial.make([c * a for a in self.coeffs])
 
     def __call__(self, x):
         """Horner evaluation; exact for int/Fraction arguments."""
@@ -88,9 +73,6 @@ class IntPolynomial:
 def linear(c: int) -> IntPolynomial:
     """The factor x + c."""
     return IntPolynomial((c, 1))
-
-
-ONE = IntPolynomial((1,))
 
 
 @dataclass(frozen=True)
@@ -131,25 +113,67 @@ def reduced_matrix_B(p: Partition) -> list[list[int]]:
     ]
 
 
-def _det_poly(sizes: Sequence[int]) -> IntPolynomial:
-    """det(xI - B) = prod(x+4-3ni) - sum_i ni * prod_{j!=i}(x+4-3nj)."""
-    factors = [linear(4 - 3 * ni) for ni in sizes]
-    prod_all = ONE
-    for f in factors:
-        prod_all = prod_all * f
-    total = prod_all
-    for i, ni in enumerate(sizes):
-        partial = ONE
-        for j, f in enumerate(factors):
-            if j != i:
-                partial = partial * f
-        total = total - partial.scale(ni)
-    return total
+def _size_counts(sizes: Sequence[int]) -> list[tuple[int, int]]:
+    """(size m, count k) pairs over the distinct sizes, m ascending."""
+    counts: dict[int, int] = {}
+    for m in sizes:
+        counts[m] = counts.get(m, 0) + 1
+    return sorted(counts.items())
+
+
+def _times_linear(cs: list[int], c: int) -> list[int]:
+    """Ascending coefficients of (x + c) * poly(cs)."""
+    return [c * a + b for a, b in zip(cs + [0], [0] + cs)]
+
+
+def _secular(pairs: Sequence[tuple[int, int]], h: int) -> IntPolynomial:
+    """The deflated residual of the grouped data, in O(d^2) for d pairs.
+
+    Q = prod (x + 4 - 3m) over the distinct sizes and
+    S = Q - sum k*m * Q/(x + 4 - 3m), each quotient taken by one exact
+    synthetic division.  The residual is S when h = 0 and (x + 1)*S - h*Q
+    otherwise (x + 1 - h when there are no pairs).
+    """
+    q = [1]
+    for m, _ in pairs:
+        q = _times_linear(q, 4 - 3 * m)
+    s = list(q)
+    for m, k in pairs:
+        c, w, r = 4 - 3 * m, k * m, 0
+        for i in range(len(q) - 1, 0, -1):
+            r = q[i] - c * r  # coefficient i-1 of Q/(x + c)
+            s[i - 1] -= w * r
+    if h:
+        s = [a - h * b for a, b in zip(_times_linear(s, 1), q + [0])]
+    return IntPolynomial(tuple(s))
+
+
+def _with_repeats(poly: IntPolynomial, pairs: Sequence[tuple[int, int]]) -> IntPolynomial:
+    """poly * prod (x + 4 - 3m)^(k-1): the poles a deflated form dropped."""
+    cs = list(poly.coeffs)
+    for m, k in pairs:
+        for _ in range(k - 1):
+            cs = _times_linear(cs, 4 - 3 * m)
+    return IntPolynomial(tuple(cs))
+
+
+def _pole_sum(pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """sum k*m/(3m - 4) as num/den, den = prod (3m - 4) over the pairs."""
+    num, den = 0, 1
+    for m, k in pairs:
+        c = 3 * m - 4
+        num, den = num * c + k * m * den, den * c
+    return num, den
 
 
 def det_B_charpoly(p: Partition) -> IntPolynomial:
-    """Monic degree-t characteristic polynomial of the reduced matrix."""
-    return _det_poly(p.parts)
+    """Monic degree-t characteristic polynomial of the reduced matrix.
+
+    det(xI - B) = prod(x+4-3ni) - sum_i ni * prod_{j!=i}(x+4-3nj), built
+    from the grouped secular function over all parts.
+    """
+    pairs = _size_counts(p.parts)
+    return _with_repeats(_secular(pairs, 0), pairs)
 
 
 def reduced_poly_p(p: Partition) -> IntPolynomial:
@@ -158,13 +182,8 @@ def reduced_poly_p(p: Partition) -> IntPolynomial:
         raise NoSingletonParts(
             "no singleton parts; use det_B_charpoly for the residual"
         )
-    if p.s == 0:
-        return linear(1 - p.h)  # complete graph: x + 1 - h
-    big = p.big_parts
-    prod_big = ONE
-    for ni in big:
-        prod_big = prod_big * linear(4 - 3 * ni)
-    return linear(1) * _det_poly(big) - prod_big.scale(p.h)
+    pairs = _size_counts(p.big_parts)  # none for the complete graph: x + 1 - h
+    return _with_repeats(_secular(pairs, p.h), pairs)
 
 
 def char_poly_factored(p: Partition) -> FactoredCharPoly:
@@ -184,18 +203,16 @@ def char_poly_factored(p: Partition) -> FactoredCharPoly:
 
 
 def det_delta_exact(p: Partition) -> int:
-    """det of the squared distance matrix, as an exact integer."""
-    sizes = p.parts
-    prod_all = 1
-    for ni in sizes:
-        prod_all *= 3 * ni - 4
-    total = prod_all
-    for i, ni in enumerate(sizes):
-        partial = ni
-        for j, nj in enumerate(sizes):
-            if j != i:
-                partial *= 3 * nj - 4
-        total += partial
+    """det of the squared distance matrix, as an exact integer.
+
+    prod(3ni - 4) + sum_i ni * prod_{j!=i}(3nj - 4) over all parts, read
+    off the grouped pole sum: prod_m (3m - 4)^(k-1) * (den + num).
+    """
+    pairs = _size_counts(p.parts)
+    num, den = _pole_sum(pairs)
+    total = den + num
+    for m, k in pairs:
+        total *= (3 * m - 4) ** (k - 1)
     return (-4) ** (p.n - p.t) * total
 
 
@@ -208,33 +225,22 @@ class Sign(enum.Enum):
 def lambda_s1_sign(p: Partition) -> Sign:
     """Exact sign of the (s+1)-th eigenvalue when singletons are present.
 
-    Compares (h-1) * prod(3ni - 4) against sum_i ni * prod_{j!=i}(3nj - 4)
-    over the s parts >= 2; every factor 3ni - 4 >= 2 > 0 so the integer
-    comparison decides the sign exactly.
+    The sign is that of (h-1) - sum ni/(3ni-4) over the s parts >= 2.
+    Every factor 3ni - 4 >= 2 > 0, so comparing (h-1) * den with num for
+    the grouped pole sum num/den decides it exactly in integers.
     """
     if p.h == 0 or p.s == 0:
         raise NotApplicable("sign criterion needs h >= 1 and s >= 1")
-    big = p.big_parts
-    prod_all = 1
-    for ni in big:
-        prod_all *= 3 * ni - 4
-    lhs = (p.h - 1) * prod_all
-    rhs = 0
-    for i, ni in enumerate(big):
-        partial = ni
-        for j, nj in enumerate(big):
-            if j != i:
-                partial *= 3 * nj - 4
-        rhs += partial
-    if lhs > rhs:
+    num, den = _pole_sum(_size_counts(p.big_parts))
+    lhs = (p.h - 1) * den
+    if lhs > num:
         return Sign.POSITIVE
-    if lhs == rhs:
+    if lhs == num:
         return Sign.ZERO
     return Sign.NEGATIVE
 
 
 def criterion_gap(p: Partition) -> Fraction:
     """(h-1) - sum ni/(3ni-4) as an exact rational (diagnostic)."""
-    return Fraction(p.h - 1) - sum(
-        (Fraction(ni, 3 * ni - 4) for ni in p.big_parts), Fraction(0)
-    )
+    num, den = _pole_sum(_size_counts(p.big_parts))
+    return Fraction((p.h - 1) * den - num, den)

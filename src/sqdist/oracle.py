@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,15 +139,6 @@ class SweepSummary:
         }
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("SQDIST_THREADS", "0")
-    try:
-        k = int(raw)
-    except ValueError:
-        k = 0
-    return k if k > 0 else 1
-
-
 def sweep(n_max: int, tol: float = DEFAULT_TOL) -> SweepSummary:
     """verify_partition over every partition with 2 <= t <= n <= n_max."""
     if n_max < 2:
@@ -160,12 +149,7 @@ def sweep(n_max: int, tol: float = DEFAULT_TOL) -> SweepSummary:
         for t in range(2, n + 1)
         for p in enumerate_partitions(n, t)
     ]
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda p: verify_partition(p, tol), targets))
-    else:
-        records = [verify_partition(p, tol) for p in targets]
+    records = [verify_partition(p, tol) for p in targets]
     summary = SweepSummary(n_max=n_max, checked=len(records), records=records)
     for rec in records:
         if not rec.passed:

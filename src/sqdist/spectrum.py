@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .charpoly import IntPolynomial, ONE, Sign, lambda_s1_sign, linear
+from .charpoly import IntPolynomial, Sign, _secular, _size_counts, lambda_s1_sign
 from .errors import BracketFailure
 from .partitions import Partition
 
@@ -121,36 +121,14 @@ class EnergyReport:
         }
 
 
-def _distinct_sizes(p: Partition) -> list[tuple[int, int]]:
-    """(size, count) over the parts >= 2, size ascending."""
-    counts: dict[int, int] = {}
-    for m in p.big_parts:
-        counts[m] = counts.get(m, 0) + 1
-    return sorted(counts.items())
-
-
 def deflated_residual(p: Partition) -> IntPolynomial:
     """The simple-root part of the residual polynomial.
 
     Repeated poles are removed analytically; what remains has one simple root
-    per secular sign change.
+    per secular sign change.  It is built from the distinct part sizes >= 2
+    and their counts in O(d^2) for d distinct sizes.
     """
-    sizes = _distinct_sizes(p)
-    prod_all = ONE
-    for m, _ in sizes:
-        prod_all = prod_all * linear(4 - 3 * m)
-    secular = prod_all
-    for i, (m, k) in enumerate(sizes):
-        partial = ONE
-        for j, (mj, _) in enumerate(sizes):
-            if j != i:
-                partial = partial * linear(4 - 3 * mj)
-        secular = secular - partial.scale(k * m)
-    if p.h == 0:
-        return secular
-    if p.s == 0:
-        return linear(1 - p.h)
-    return linear(1) * secular - prod_all.scale(p.h)
+    return _secular(_size_counts(p.big_parts), p.h)
 
 
 def _bisect(
@@ -224,7 +202,7 @@ def secular_roots(p: Partition) -> list[IsolatedRoot]:
                 float(root), root - _EXACT_NUDGE, root + _EXACT_NUDGE, poly
             )
         ]
-    poles = [Fraction(3 * m - 4) for m, _ in _distinct_sizes(p)]
+    poles = [Fraction(3 * m - 4) for m, _ in _size_counts(p.big_parts)]
     upper = Fraction(_upper_bound(p))
     brackets: list[tuple[Fraction, Fraction]] = []
     if p.h >= 1:
@@ -238,7 +216,7 @@ def secular_roots(p: Partition) -> list[IsolatedRoot]:
 def full_spectrum(p: Partition) -> SpectrumReport:
     """Assemble the exact and isolated parts; multiplicities sum to n."""
     exact: list[tuple[Fraction, int]] = []
-    for m, k in _distinct_sizes(p):
+    for m, k in _size_counts(p.big_parts):
         if k >= 2:
             exact.append((Fraction(3 * m - 4), k - 1))
     if p.h >= 2:

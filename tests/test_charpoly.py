@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_partitions_upto, bareiss_det, charpoly_via_bareiss
@@ -21,14 +21,15 @@ from sqdist.charpoly import (
 from sqdist.errors import NoSingletonParts, NotApplicable
 from sqdist.matrices import sqdist_from_partition
 from sqdist.partitions import Partition
+from sqdist.spectrum import deflated_residual
 
 
 class TestIntPolynomial:
     def test_arithmetic(self):
         p = linear(-2) * linear(-6)  # (x-2)(x-6)
         assert p.coeffs == (12, -8, 1)
-        assert (p - IntPolynomial((12,))).coeffs == (0, -8, 1)
-        assert p.scale(3).coeffs == (36, -24, 3)
+        assert (IntPolynomial((3,)) * p).coeffs == (36, -24, 3)
+        assert (IntPolynomial(()) * p).coeffs == ()
 
     def test_trailing_zeros_normalized(self):
         assert IntPolynomial.make([1, 2, 0, 0]).coeffs == (1, 2)
@@ -238,3 +239,196 @@ class TestSignCriterion:
                 Sign.POSITIVE if gap > 0 else Sign.ZERO if gap == 0 else Sign.NEGATIVE
             )
             assert lambda_s1_sign(p) is expected
+
+
+# -- the nested-loop constructions the grouped core replaced -----------------
+def _ref_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _ref_axpy(a, c, b):
+    """a + c*b on ascending coefficient lists, trailing zeros stripped."""
+    out = [0] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, y in enumerate(b):
+        out[i] += c * y
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _ref_det_poly(sizes, weights):
+    """prod(x+4-3m_i) - sum_i w_i * prod_{j!=i}(x+4-3m_j), O(t^3)."""
+    factors = [[4 - 3 * m, 1] for m in sizes]
+    prod_all = [1]
+    for f in factors:
+        prod_all = _ref_mul(prod_all, f)
+    total = prod_all
+    for i, w in enumerate(weights):
+        partial = [1]
+        for j, f in enumerate(factors):
+            if j != i:
+                partial = _ref_mul(partial, f)
+        total = _ref_axpy(total, -w, partial)
+    return total
+
+
+def _ref_with_singletons(sizes, weights, h):
+    """(x+1) * det_poly - h * prod(x+4-3m); x + 1 - h without sizes."""
+    if not sizes:
+        return [1 - h, 1]
+    prod_all = [1]
+    for m in sizes:
+        prod_all = _ref_mul(prod_all, [4 - 3 * m, 1])
+    return _ref_axpy(_ref_mul([1, 1], _ref_det_poly(sizes, weights)), -h, prod_all)
+
+
+def ref_det_B_charpoly(p):
+    return tuple(_ref_det_poly(p.parts, p.parts))
+
+
+def ref_reduced_poly_p(p):
+    return tuple(_ref_with_singletons(p.big_parts, p.big_parts, p.h))
+
+
+def ref_deflated_residual(p):
+    counts = {}
+    for m in p.big_parts:
+        counts[m] = counts.get(m, 0) + 1
+    sizes = sorted(counts)
+    weights = [counts[m] * m for m in sizes]
+    if p.h == 0:
+        return tuple(_ref_det_poly(sizes, weights))
+    return tuple(_ref_with_singletons(sizes, weights, p.h))
+
+
+def ref_det_delta_exact(p):
+    sizes = p.parts
+    prod_all = 1
+    for ni in sizes:
+        prod_all *= 3 * ni - 4
+    total = prod_all
+    for i, ni in enumerate(sizes):
+        partial = ni
+        for j, nj in enumerate(sizes):
+            if j != i:
+                partial *= 3 * nj - 4
+        total += partial
+    return (-4) ** (p.n - p.t) * total
+
+
+def ref_lambda_s1_sign(p):
+    big = p.big_parts
+    prod_all = 1
+    for ni in big:
+        prod_all *= 3 * ni - 4
+    lhs = (p.h - 1) * prod_all
+    rhs = 0
+    for i, ni in enumerate(big):
+        partial = ni
+        for j, nj in enumerate(big):
+            if j != i:
+                partial *= 3 * nj - 4
+        rhs += partial
+    if lhs > rhs:
+        return Sign.POSITIVE
+    if lhs == rhs:
+        return Sign.ZERO
+    return Sign.NEGATIVE
+
+
+def ref_criterion_gap(p):
+    return Fraction(p.h - 1) - sum(
+        (Fraction(ni, 3 * ni - 4) for ni in p.big_parts), Fraction(0)
+    )
+
+
+@st.composite
+def grouped_partitions(draw, max_distinct=80, tops=(40, 10**20)):
+    """Up to max_distinct distinct sizes >= 2 (up to 40, so many repeat, or up
+    to 10^20), up to 8 extra copies of drawn sizes, and 0-5 singletons."""
+    top = draw(st.sampled_from(tops))
+    sizes = draw(st.lists(st.integers(2, top), unique=True, max_size=max_distinct))
+    repeats = draw(st.lists(st.sampled_from(sizes), max_size=8)) if sizes else []
+    h = draw(st.integers(0, 5))
+    parts = sizes + repeats
+    return Partition(tuple(parts) + (1,) * max(h, 2 - len(parts)))
+
+
+@st.composite
+def knife_edge_partitions(draw):
+    """lambda_{s+1} = 0: each 2 adds 1 to sum m/(3m-4), each pair of 4s adds
+    1 and each five 3s add 3, so h - 1 equals the sum exactly."""
+    twos, fours, threes = draw(st.tuples(*[st.integers(0, 4)] * 3))
+    twos = max(twos, 1 - fours - threes)
+    h = twos + fours + 3 * threes + 1
+    return Partition((4,) * (2 * fours) + (3,) * (5 * threes) + (2,) * twos + (1,) * h)
+
+
+partitions_st = st.one_of(
+    grouped_partitions(),
+    grouped_partitions(max_distinct=6),
+    knife_edge_partitions(),
+)
+# det_delta_exact carries (-4)^(n-t), so its parts stay small
+small_partitions_st = st.one_of(
+    grouped_partitions(tops=(40,)),
+    grouped_partitions(max_distinct=6, tops=(40,)),
+    knife_edge_partitions(),
+)
+
+
+def _assert_core_matches_reference(p):
+    det_b = ref_det_B_charpoly(p)
+    assert det_B_charpoly(p).coeffs == det_b
+    assert deflated_residual(p).coeffs == ref_deflated_residual(p)
+    residual = char_poly_factored(p).residual.coeffs
+    if p.h == 0:
+        assert residual == det_b
+    else:
+        assert residual == ref_reduced_poly_p(p)
+        assert reduced_poly_p(p).coeffs == residual
+
+
+class TestGroupedCore:
+    """The O(d^2) grouped construction equals the nested-loop one exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(partitions_st)
+    def test_polynomials_match_reference(self, p):
+        _assert_core_matches_reference(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_partitions_st)
+    def test_det_delta_matches_reference(self, p):
+        assert det_delta_exact(p) == ref_det_delta_exact(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(partitions_st)
+    def test_sign_matches_reference(self, p):
+        if p.h == 0 or p.s == 0:
+            return
+        assert lambda_s1_sign(p) is ref_lambda_s1_sign(p)
+        assert criterion_gap(p) == ref_criterion_gap(p)
+
+    @pytest.mark.parametrize("h", [0, 3])
+    def test_eighty_distinct_sizes(self, h):
+        sizes = list(range(2, 82))
+        sizes[::7] = [10**20 - i for i in range(len(sizes[::7]))]
+        parts = sizes + sizes[:6] + sizes[:2]  # two or three copies of some sizes
+        _assert_core_matches_reference(Partition(tuple(parts) + (1,) * h))
+
+    @pytest.mark.parametrize(
+        "parts", [(2, 1, 1), (2, 2, 1, 1, 1), (4, 4, 2, 1, 1, 1), (3,) * 5 + (1,) * 4]
+    )
+    def test_knife_edge(self, parts):
+        p = Partition(parts)
+        assert lambda_s1_sign(p) is Sign.ZERO is ref_lambda_s1_sign(p)
+        assert criterion_gap(p) == 0
+        assert det_delta_exact(p) == ref_det_delta_exact(p) == 0
+        _assert_core_matches_reference(p)

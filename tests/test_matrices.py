@@ -6,7 +6,6 @@ from conftest import (
     complete_multipartite_edges,
     triangle_distances,
 )
-from sqdist import _kernels
 from sqdist.errors import DisconnectedGraph
 from sqdist.matrices import (
     SimpleGraph,
@@ -103,37 +102,3 @@ class TestBfsRoute:
         sq = sqdist_from_graph(g).int_rows()
         assert sq == [[d * d for d in row] for row in fw]
 
-
-class TestKernelFlavours:
-    def test_bfs_flavours_agree(self):
-        for parts in [(3, 2, 1), (5, 1), (2, 2, 2, 2)]:
-            adj = multipartite_graph(Partition(parts)).adjacency()
-            a = _kernels._bfs_all_pairs(adj.astype(np.uint8))
-            b = _kernels._bfs_all_pairs_numpy(adj)
-            assert np.array_equal(a, b)
-
-    def test_bfs_flavours_unreachable(self):
-        adj = np.zeros((4, 4), dtype=np.uint8)
-        adj[0, 1] = adj[1, 0] = 1
-        a = _kernels._bfs_all_pairs(adj)
-        b = _kernels._bfs_all_pairs_numpy(adj)
-        assert np.array_equal(a, b)
-        assert a[0, 2] == -1
-
-    def test_jacobi_flavours_agree(self):
-        rng = np.random.default_rng(7)
-        m = rng.normal(size=(12, 12))
-        sym = (m + m.T) / 2
-        tol = 1e-12 * np.linalg.norm(sym)
-        a = sym.copy()
-        b = sym.copy()
-        _kernels._jacobi_sweeps(a, tol, 100)
-        _kernels._jacobi_sweeps_numpy(b, tol, 100)
-        assert np.allclose(sorted(np.diag(a)), sorted(np.diag(b)), atol=1e-9)
-        assert np.allclose(sorted(np.diag(a)), np.sort(np.linalg.eigvalsh(sym)), atol=1e-9)
-
-    def test_dispatch_fallback(self, monkeypatch):
-        adj = multipartite_graph(Partition((3, 2))).adjacency()
-        with_numba = _kernels.bfs_distances(adj)
-        monkeypatch.setattr(_kernels, "USE_NUMBA", False)
-        assert np.array_equal(_kernels.bfs_distances(adj), with_numba)

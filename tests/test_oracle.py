@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from sqdist import _kernels
 from sqdist.errors import InfeasibleParameters
 from sqdist.matrices import DenseSymMatrix, sqdist_from_partition
 from sqdist.oracle import (
@@ -50,13 +49,6 @@ class TestJacobiEigenvalues:
     def test_tol_guard(self):
         with pytest.raises(ValueError):
             symmetric_eigenvalues(_sym([[0, 1], [1, 0]]), tol=0)
-
-    def test_pure_numpy_flavour(self, monkeypatch):
-        mat = sqdist_from_partition(Partition((3, 2, 1)))
-        ref = symmetric_eigenvalues(mat).eigenvalues
-        monkeypatch.setattr(_kernels, "USE_NUMBA", False)
-        alt = symmetric_eigenvalues(mat).eigenvalues
-        assert np.allclose(ref, alt, atol=1e-10)
 
 
 class TestVerifyPartition:
@@ -108,11 +100,3 @@ class TestSweep:
     def test_guard(self):
         with pytest.raises(InfeasibleParameters):
             sweep(1)
-
-    def test_threaded_matches_serial(self, monkeypatch):
-        monkeypatch.setenv("SQDIST_THREADS", "4")
-        threaded = sweep(7)
-        monkeypatch.delenv("SQDIST_THREADS")
-        serial = sweep(7)
-        assert threaded.checked == serial.checked
-        assert threaded.failure_count == serial.failure_count == 0
