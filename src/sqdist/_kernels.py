@@ -10,10 +10,7 @@ import math
 
 import numpy as np
 
-_MAX_SWEEPS = 100
-
-
-def jacobi_eigensystem(mat: np.ndarray, tol_abs: float, max_sweeps: int = _MAX_SWEEPS):
+def jacobi_eigensystem(mat: np.ndarray, tol_abs: float, max_sweeps: int):
     """Cyclic Jacobi rotations on a copy of mat; returns (eigvals, sweeps, off).
 
     Sweeps stop once the off-diagonal norm is at most tol_abs or after

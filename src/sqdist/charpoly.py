@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NoSingletonParts, NotApplicable
+from .errors import InfeasibleParameters, NoSingletonParts, NotApplicable
 from .partitions import Partition
 
 
@@ -207,7 +207,10 @@ def det_delta_exact(p: Partition) -> int:
 
     prod(3ni - 4) + sum_i ni * prod_{j!=i}(3nj - 4) over all parts, read
     off the grouped pole sum: prod_m (3m - 4)^(k-1) * (den + num).
+    Raises InfeasibleParameters when n - t > 10^6.
     """
+    if p.n - p.t > 10**6:  # the factor (-4)^(n-t) alone has 2(n-t) bits
+        raise InfeasibleParameters(f"n - t = {p.n - p.t} > 10^6: (-4)^(n-t) is too large")
     pairs = _size_counts(p.parts)
     num, den = _pole_sum(pairs)
     total = den + num

@@ -1,8 +1,9 @@
 """Command-line access to all queries and sweeps.
 
 Exit codes: 0 success, 1 domain error, 2 verification failure, 64 usage.
-JSON is the default output; --csv switches the tabular commands.  Floats are
-printed with 12 significant digits; exact integers as decimal strings.
+JSON is the default output; --csv switches spectrum and the scans to CSV.
+Floats are printed with 12 significant digits; exact integers as decimal
+strings.
 """
 
 from __future__ import annotations
@@ -45,63 +46,57 @@ def _fmt(value: float) -> float:
     return float(f"{value:.12g}")
 
 
-def _json_default(obj):
-    raise TypeError(f"not JSON serializable: {obj!r}")
-
-
 def _emit(payload) -> None:
     if isinstance(payload, str):
         sys.stdout.write(payload + "\n")
     else:
-        sys.stdout.write(json.dumps(payload, default=_json_default) + "\n")
+        sys.stdout.write(json.dumps(payload) + "\n")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="sqdist")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, partition_args=0):
+    def add(name, help_, partition=False, csv=False):
         cmd = sub.add_parser(name, help=help_)
-        for i in range(partition_args):
+        if partition:
             cmd.add_argument(
-                f"partition{i if partition_args > 1 else ''}",
-                help="comma-separated part sizes, e.g. 5,2,2,1",
+                "partition", help="comma-separated part sizes, e.g. 5,2,2,1"
             )
         fmt = cmd.add_mutually_exclusive_group()
         fmt.add_argument("--json", action="store_true", default=False)
-        fmt.add_argument("--csv", action="store_true", default=False)
+        if csv:
+            fmt.add_argument("--csv", action="store_true", default=False)
         return cmd
 
-    add("spectrum", "full eigenvalue structure", 1)
-    add("inertia", "signature (n+, n0, n-)", 1)
-    add("energy", "squared distance energy", 1)
-    radius = add("radius", "spectral radius with bracket", 1)
+    add("spectrum", "full eigenvalue structure", partition=True, csv=True)
+    add("inertia", "signature (n+, n0, n-)", partition=True)
+    add("energy", "squared distance energy", partition=True)
+    radius = add("radius", "spectral radius with bracket", partition=True)
     radius.add_argument(
         "--tol", type=_positive_float, default=None,
         help="widest allowed bracket (default 1e-12)",
     )
-    add("charpoly", "factored characteristic polynomial", 1)
+    add("charpoly", "factored characteristic polynomial", partition=True)
 
-    scan_e = add("scan-energy", "energy scan over all partitions of (n,t)")
+    scan_e = add("scan-energy", "energy scan over all partitions of (n,t)", csv=True)
     scan_e.add_argument("n", type=int)
     scan_e.add_argument("t", type=int)
-    scan_r = add("scan-radius", "radius scan over all partitions of (n,t)")
+    scan_r = add("scan-radius", "radius scan over all partitions of (n,t)", csv=True)
     scan_r.add_argument("n", type=int)
     scan_r.add_argument("t", type=int)
-    scan_h = add("scan-h", "energy scan over the class with h singletons")
+    scan_h = add("scan-h", "energy scan over the class with h singletons", csv=True)
     scan_h.add_argument("n", type=int)
     scan_h.add_argument("t", type=int)
     scan_h.add_argument("--h", type=int, required=True, dest="h_count")
 
-    chain = sub.add_parser("chain", help="verify monotonicity along a chain")
+    chain = add("chain", "verify monotonicity along a chain")
     chain.add_argument("upper", help="majorizing partition")
     chain.add_argument("lower", help="majorized partition")
-    chain.add_argument("--json", action="store_true", default=False)
 
-    verify = sub.add_parser("verify", help="oracle sweep up to n = nmax")
+    verify = add("verify", "oracle sweep up to n = nmax")
     verify.add_argument("--nmax", type=int, required=True)
     verify.add_argument("--tol", type=_positive_float, default=oracle.DEFAULT_TOL)
-    verify.add_argument("--json", action="store_true", default=False)
 
     return parser
 
@@ -120,15 +115,14 @@ def run(argv) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.command == "spectrum":
+        if "partition" in args:
             p = partitions.parse_partition(args.partition)
+        if args.command == "spectrum":
             report = spectrum.full_spectrum(p)
             _emit(_spectrum_csv(report) if args.csv else report.to_json())
         elif args.command == "inertia":
-            p = partitions.parse_partition(args.partition)
             _emit(spectrum.inertia(p).to_json())
         elif args.command == "energy":
-            p = partitions.parse_partition(args.partition)
             rep = spectrum.energy(p)
             _emit(
                 {
@@ -138,12 +132,10 @@ def run(argv) -> int:
                 }
             )
         elif args.command == "radius":
-            p = partitions.parse_partition(args.partition)
             width = spectrum.BRACKET_WIDTH if args.tol is None else Fraction(args.tol)
             value, (lo, hi) = spectrum.spectral_radius(p, width)
             _emit({"value": _fmt(value), "lo": lo, "hi": hi})
         elif args.command == "charpoly":
-            p = partitions.parse_partition(args.partition)
             _emit(char_poly_factored(p).to_json())
         elif args.command in ("scan-energy", "scan-radius", "scan-h"):
             if args.command == "scan-energy":

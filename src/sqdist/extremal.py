@@ -77,10 +77,16 @@ class ScanReport:
     values: list[tuple[Partition, float]]
     argmax: list[Partition]
     argmin: list[Partition]
-    max_unique: bool
-    min_unique: bool
     violated_claims: list[str] = field(default_factory=list)
     signs: dict[Partition, str] = field(default_factory=dict)
+
+    @property
+    def max_unique(self) -> bool:
+        return len(self.argmax) == 1
+
+    @property
+    def min_unique(self) -> bool:
+        return len(self.argmin) == 1
 
     def to_json(self) -> dict:
         out = {
@@ -133,6 +139,25 @@ def _extrema(members, cmp):
     return argmax, argmin
 
 
+def _scan(quantity, n, t, h, members, evaluate, compare) -> ScanReport:
+    """Evaluate each member once and rank the results exactly.
+
+    compare orders two results of evaluate (-1/0/+1); each result's .value
+    is the float the report lists.  The caller appends its claim checks.
+    """
+    results = {p: evaluate(p) for p in members}
+    argmax, argmin = _extrema(members, lambda a, b: compare(results[a], results[b]))
+    return ScanReport(
+        quantity=quantity,
+        n=n,
+        t=t,
+        h=h,
+        values=[(p, results[p].value) for p in members],
+        argmax=argmax,
+        argmin=argmin,
+    )
+
+
 def scan_energy(n: int, t: int) -> ScanReport:
     """Energy over every partition of n into t parts; split max, Turan min.
 
@@ -140,35 +165,20 @@ def scan_energy(n: int, t: int) -> ScanReport:
     guaranteed (several partitions with all parts >= 2 share 8(n-t)).
     """
     members = list(enumerate_partitions(n, t))
-    reports = {p: energy(p) for p in members}
-    argmax, argmin = _extrema(
-        members, lambda a, b: compare_energy(reports[a], reports[b])
-    )
+    report = _scan("energy", n, t, None, members, energy, compare_energy)
     s_nt, t_nt = complete_split(n, t), turan(n, t)
-    violated: list[str] = []
-    if s_nt not in argmax:
+    violated = report.violated_claims
+    if s_nt not in report.argmax:
         violated.append(f"energy max not at split graph {s_nt}")
-    if len(argmax) != 1:
-        violated.append(f"energy max not unique: {[str(p) for p in argmax]}")
-    if t_nt not in argmin:
+    if not report.max_unique:
+        violated.append(f"energy max not unique: {[str(p) for p in report.argmax]}")
+    if t_nt not in report.argmin:
         violated.append(f"energy min not at Turan graph {t_nt}")
-    min_unique = len(argmin) == 1
-    if (n <= 2 * t + 1) != min_unique:
+    if (n <= 2 * t + 1) != report.min_unique:
         violated.append(
-            f"Turan-min uniqueness is {min_unique}, expected {n <= 2 * t + 1}"
+            f"Turan-min uniqueness is {report.min_unique}, expected {n <= 2 * t + 1}"
         )
-    return ScanReport(
-        quantity="energy",
-        n=n,
-        t=t,
-        h=None,
-        values=[(p, reports[p].value) for p in members],
-        argmax=argmax,
-        argmin=argmin,
-        max_unique=len(argmax) == 1,
-        min_unique=min_unique,
-        violated_claims=violated,
-    )
+    return report
 
 
 def scan_energy_h(n: int, t: int, h: int) -> ScanReport:
@@ -179,62 +189,32 @@ def scan_energy_h(n: int, t: int, h: int) -> ScanReport:
     minimizer has lambda_{s+1} <= 0, and merely recorded otherwise.
     """
     members = list(enumerate_class(n, t, h))
-    reports = {p: energy(p) for p in members}
-    signs = {p: lambda_s1_sign(p).value for p in members}
-    argmax, argmin = _extrema(
-        members, lambda a, b: compare_energy(reports[a], reports[b])
-    )
+    report = _scan("energy", n, t, h, members, energy, compare_energy)
+    report.signs = {p: lambda_s1_sign(p).value for p in members}
     s_nth, t_nth = split_h(n, t, h), turan_h(n, t, h)
-    violated: list[str] = []
-    if s_nth not in argmax:
+    violated = report.violated_claims
+    if s_nth not in report.argmax:
         violated.append(f"energy max not at {s_nth}")
-    if t_nth not in argmin:
+    if t_nth not in report.argmin:
         violated.append(f"energy min not at {t_nth}")
     if lambda_s1_sign(t_nth) is not Sign.POSITIVE:
-        if len(argmax) != 1:
+        if not report.max_unique:
             violated.append("max not unique despite lambda_{s+1}(T) <= 0")
-        if len(argmin) != 1:
+        if not report.min_unique:
             violated.append("min not unique despite lambda_{s+1}(T) <= 0")
-    return ScanReport(
-        quantity="energy",
-        n=n,
-        t=t,
-        h=h,
-        values=[(p, reports[p].value) for p in members],
-        argmax=argmax,
-        argmin=argmin,
-        max_unique=len(argmax) == 1,
-        min_unique=len(argmin) == 1,
-        violated_claims=violated,
-        signs=signs,
-    )
+    return report
 
 
 def scan_radius(n: int, t: int) -> ScanReport:
     """Spectral radius over every partition; strict unique extrema."""
     members = list(enumerate_partitions(n, t))
-    roots = {p: spectral_radius_root(p) for p in members}
-    argmax, argmin = _extrema(
-        members, lambda a, b: _compare_roots(roots[a], roots[b])
-    )
+    report = _scan("radius", n, t, None, members, spectral_radius_root, _compare_roots)
     s_nt, t_nt = complete_split(n, t), turan(n, t)
-    violated: list[str] = []
-    if argmax != [s_nt]:
-        violated.append(f"radius max not uniquely at {s_nt}")
-    if argmin != [t_nt]:
-        violated.append(f"radius min not uniquely at {t_nt}")
-    return ScanReport(
-        quantity="radius",
-        n=n,
-        t=t,
-        h=None,
-        values=[(p, roots[p].value) for p in members],
-        argmax=argmax,
-        argmin=argmin,
-        max_unique=len(argmax) == 1,
-        min_unique=len(argmin) == 1,
-        violated_claims=violated,
-    )
+    if report.argmax != [s_nt]:
+        report.violated_claims.append(f"radius max not uniquely at {s_nt}")
+    if report.argmin != [t_nt]:
+        report.violated_claims.append(f"radius min not uniquely at {t_nt}")
+    return report
 
 
 @dataclass
@@ -274,23 +254,21 @@ def verify_chain_monotone(y: Partition, x: Partition) -> ChainReport:
     strictly decreases at every step and the energy never increases."""
     if majorizes(y, x) is not Verdict.STRICT:
         raise NotMajorized(f"{y} does not strictly majorize {x}")
-    chain = elementary_chain(y, x)
-    prev = y
+    prev_rho, prev_en = spectral_radius_root(y), energy(y)
     steps: list[ChainStepRecord] = []
-    ok = True
-    for cur, _step in chain:
-        rho_cmp = compare_radius(prev, cur)
-        en_cmp = compare_energy(energy(prev), energy(cur))
-        rec = ChainStepRecord(
-            partition=cur,
-            radius=spectral_radius_root(cur).value,
-            energy_value=energy(cur).value,
-            radius_strictly_decreased=rho_cmp > 0,
-            energy_nonincreasing=en_cmp >= 0,
+    for cur, _step in elementary_chain(y, x):
+        rho, en = spectral_radius_root(cur), energy(cur)
+        steps.append(
+            ChainStepRecord(
+                partition=cur,
+                radius=rho.value,
+                energy_value=en.value,
+                radius_strictly_decreased=_compare_roots(prev_rho, rho) > 0,
+                energy_nonincreasing=compare_energy(prev_en, en) >= 0,
+            )
         )
-        ok = ok and rec.radius_strictly_decreased and rec.energy_nonincreasing
-        steps.append(rec)
-        prev = cur
+        prev_rho, prev_en = rho, en
+    ok = all(s.radius_strictly_decreased and s.energy_nonincreasing for s in steps)
     return ChainReport(start=y, steps=steps, ok=ok)
 
 

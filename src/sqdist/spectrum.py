@@ -9,6 +9,9 @@ ends are integer numerators over one common denominator that doubles with
 each halving, and the sign of the residual at num/den is read off the
 integer den^deg * P(num/den) (IntPolynomial.sign_at).  No Fraction is formed
 until the final bracket, and each query isolates only the roots it reports.
+The complete graph takes the same path: its residual x + 1 - h has no poles,
+and its root h-1 is the upper end 3*1 + n - 4 of the general bracket, an
+exact hit that bisection returns at once as h-1 -+ 2^-60.
 """
 
 from __future__ import annotations
@@ -194,23 +197,10 @@ def secular_roots(p: Partition) -> list[IsolatedRoot]:
     extra root in (-1, smallest pole).
     """
     poly = deflated_residual(p)
-    if p.s == 0:
-        # complete graph: single exact root h-1
-        root = Fraction(p.h - 1)
-        return [
-            IsolatedRoot(
-                float(root), root - _EXACT_NUDGE, root + _EXACT_NUDGE, poly
-            )
-        ]
-    poles = [Fraction(3 * m - 4) for m, _ in _size_counts(p.big_parts)]
-    upper = Fraction(_upper_bound(p))
-    brackets: list[tuple[Fraction, Fraction]] = []
-    if p.h >= 1:
-        brackets.append((Fraction(-1), poles[0]))
-    for a, b in zip(poles, poles[1:]):
-        brackets.append((a, b))
-    brackets.append((poles[-1], upper))
-    return [_isolate(poly, lo, hi) for lo, hi in brackets]
+    ends = [Fraction(-1)] if p.h >= 1 else []
+    ends += [Fraction(3 * m - 4) for m, _ in _size_counts(p.big_parts)]
+    ends.append(Fraction(_upper_bound(p)))
+    return [_isolate(poly, lo, hi) for lo, hi in zip(ends, ends[1:])]
 
 
 def full_spectrum(p: Partition) -> SpectrumReport:
@@ -275,12 +265,9 @@ def spectral_radius(
 
 
 def spectral_radius_root(p: Partition, width: Fraction = BRACKET_WIDTH) -> IsolatedRoot:
-    poly = deflated_residual(p)
-    if p.s == 0:
-        r = Fraction(p.h - 1)
-        return IsolatedRoot(float(r), r - _EXACT_NUDGE, r + _EXACT_NUDGE, poly)
-    lower = Fraction(max(4 * (p.parts[0] - 1), 3 * p.parts[0] - 4))
-    return _isolate(poly, lower, Fraction(_upper_bound(p)), width)
+    """The Perron root, bracketed in [4(n1 - 1), 3n1 + n - 4]."""
+    lower = Fraction(4 * (p.parts[0] - 1))
+    return _isolate(deflated_residual(p), lower, Fraction(_upper_bound(p)), width)
 
 
 def radius_bipartite_closed(n1: int, n2: int) -> float:

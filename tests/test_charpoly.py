@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from sqdist.charpoly import (
     reduced_matrix_B,
     reduced_poly_p,
 )
-from sqdist.errors import NoSingletonParts, NotApplicable
+from sqdist.errors import InfeasibleParameters, NoSingletonParts, NotApplicable
 from sqdist.matrices import sqdist_from_partition
 from sqdist.partitions import Partition
 from sqdist.spectrum import deflated_residual
@@ -209,6 +210,17 @@ class TestDeterminant:
             p = Partition(parts)
             c0 = char_poly_factored(p).expand()(0)
             assert det_delta_exact(p) == (-1) ** p.n * c0
+
+    def test_huge_order_is_refused(self):
+        # (-4)^(n-t) would need ~10^20 bits
+        start = time.perf_counter()
+        with pytest.raises(InfeasibleParameters):
+            det_delta_exact(Partition((10**20, 10**20)))
+        assert time.perf_counter() - start < 1.0
+
+    def test_largest_order_still_computed(self):
+        m = 500_001  # n - t = 10^6
+        assert det_delta_exact(Partition((m, m))) == 4**10**6 * (5 * m - 4) * (3 * m - 4)
 
 
 class TestSignCriterion:

@@ -173,6 +173,16 @@ class TestExitCodes:
         ]
         assert len(errors) == 1 and "--tol" in errors[0]
 
+    @pytest.mark.parametrize("command", ["energy", "inertia", "radius", "charpoly"])
+    def test_csv_rejected_on_json_only_commands(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.run([command, "2,2,1", "--csv"])
+        assert excinfo.value.code == 64
+        assert "--csv" in capsys.readouterr().err
+        code, out, _ = run(capsys, command, "2,2,1", "--json")
+        assert code == 0
+        assert json.loads(out)
+
     def test_main_raises_systemexit(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.argv", ["sqdist", "energy", "3,2"])
         with pytest.raises(SystemExit) as excinfo:

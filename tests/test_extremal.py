@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from sqdist import extremal
 from sqdist.errors import NotMajorized
 from sqdist.extremal import (
     ChainReport,
@@ -135,6 +138,43 @@ class TestChain:
         assert js["ok"] is True
         assert js["start"] == "3,1"
         assert len(js["steps"]) == 1
+
+
+def _count_calls(monkeypatch, name):
+    """Replace extremal's binding of name with one that counts its partitions."""
+    calls = Counter()
+    original = getattr(extremal, name)
+
+    def counted(p, *args):
+        calls[p] += 1
+        return original(p, *args)
+
+    monkeypatch.setattr(extremal, name, counted)
+    return calls
+
+
+class TestSingleEvaluation:
+    def test_chain_evaluates_each_partition_once(self, monkeypatch):
+        energies = _count_calls(monkeypatch, "energy")
+        radii = _count_calls(monkeypatch, "spectral_radius_root")
+        y = Partition((10,) + (2,) * 7 + (1,) * 7)
+        report = verify_chain_monotone(y, Partition((3,) * 8 + (1,) * 7))
+        chain = Counter([y] + [s.partition for s in report.steps])
+        assert len(chain) > 2
+        assert energies == radii == chain
+
+    @pytest.mark.parametrize(
+        "scan, name, args",
+        [
+            (scan_energy, "energy", (8, 3)),
+            (scan_energy_h, "energy", (9, 4, 1)),
+            (scan_radius, "spectral_radius_root", (8, 3)),
+        ],
+    )
+    def test_scan_evaluates_each_member_once(self, monkeypatch, scan, name, args):
+        calls = _count_calls(monkeypatch, name)
+        report = scan(*args)
+        assert calls == Counter(p for p, _ in report.values)
 
 
 class TestElementaryNeighbors:

@@ -140,6 +140,19 @@ class TestSecularRoots:
         assert root.value == 3.0
         assert root.lo_exact < 3 < root.hi_exact
 
+    @pytest.mark.parametrize("h", range(2, 7))
+    def test_complete_graph_is_an_exact_hit(self, h):
+        # no poles: the general bracket ends at the exact root h-1
+        p = Partition((1,) * h)
+        nudge = Fraction(1, 2**60)
+        roots = secular_roots(p) + [
+            spectral_radius_root(p),
+            spectral_radius_root(p, Fraction(1, 2)),
+        ]
+        assert [(r.lo_exact, r.hi_exact, r.value) for r in roots] == [
+            (h - 1 - nudge, h - 1 + nudge, h - 1)
+        ] * 3
+
     def test_root_count(self):
         # one root per pole gap, one above; one extra below with singletons
         for _, _, parts in all_partitions_upto(12):
