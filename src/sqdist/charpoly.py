@@ -89,11 +89,7 @@ class FactoredCharPoly:
     n: int
 
     def expand(self) -> IntPolynomial:
-        out = self.residual
-        for c, mult in self.linear_factors:
-            for _ in range(mult):
-                out = out * linear(c)
-        return out
+        return _times_powers(self.residual, self.linear_factors)
 
     def to_json(self) -> dict:
         return {
@@ -126,13 +122,22 @@ def _times_linear(cs: list[int], c: int) -> list[int]:
     return [c * a + b for a, b in zip(cs + [0], [0] + cs)]
 
 
-def _secular(pairs: Sequence[tuple[int, int]], h: int) -> IntPolynomial:
+def _times_powers(poly: IntPolynomial, factors: Sequence[tuple[int, int]]) -> IntPolynomial:
+    """poly * prod (x + c)^e over the (c, e) factors."""
+    cs = list(poly.coeffs)
+    for c, e in factors:
+        for _ in range(e):
+            cs = _times_linear(cs, c)
+    return IntPolynomial(tuple(cs))
+
+
+def _secular(pairs: Sequence[tuple[int, int]]) -> IntPolynomial:
     """The deflated residual of the grouped data, in O(d^2) for d pairs.
 
     Q = prod (x + 4 - 3m) over the distinct sizes and
     S = Q - sum k*m * Q/(x + 4 - 3m), each quotient taken by one exact
-    synthetic division.  The residual is S when h = 0 and (x + 1)*S - h*Q
-    otherwise (x + 1 - h when there are no pairs).
+    synthetic division; the residual is S.  Singletons are the group (1, h)
+    with pole 3*1 - 4 = -1, so the complete graph gives x + 1 - h.
     """
     q = [1]
     for m, _ in pairs:
@@ -143,23 +148,21 @@ def _secular(pairs: Sequence[tuple[int, int]], h: int) -> IntPolynomial:
         for i in range(len(q) - 1, 0, -1):
             r = q[i] - c * r  # coefficient i-1 of Q/(x + c)
             s[i - 1] -= w * r
-    if h:
-        s = [a - h * b for a, b in zip(_times_linear(s, 1), q + [0])]
     return IntPolynomial(tuple(s))
 
 
 def _with_repeats(poly: IntPolynomial, pairs: Sequence[tuple[int, int]]) -> IntPolynomial:
     """poly * prod (x + 4 - 3m)^(k-1): the poles a deflated form dropped."""
-    cs = list(poly.coeffs)
-    for m, k in pairs:
-        for _ in range(k - 1):
-            cs = _times_linear(cs, 4 - 3 * m)
-    return IntPolynomial(tuple(cs))
+    return _times_powers(poly, [(4 - 3 * m, k - 1) for m, k in pairs])
 
 
-def _pole_sum(pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    """sum k*m/(3m - 4) as num/den, den = prod (3m - 4) over the pairs."""
-    num, den = 0, 1
+def _gap(pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """1 + sum k*m/(3m - 4) as num/den, den = prod (3m - 4) over the pairs.
+
+    Singletons are the group (1, h) with pole -1: when h >= 1, den < 0 and
+    num/(-den) is the criterion (h - 1) - sum ni/(3ni - 4) over sizes >= 2.
+    """
+    num, den = 1, 1
     for m, k in pairs:
         c = 3 * m - 4
         num, den = num * c + k * m * den, den * c
@@ -173,7 +176,7 @@ def det_B_charpoly(p: Partition) -> IntPolynomial:
     from the grouped secular function over all parts.
     """
     pairs = _size_counts(p.parts)
-    return _with_repeats(_secular(pairs, 0), pairs)
+    return _with_repeats(_secular(pairs), pairs)
 
 
 def reduced_poly_p(p: Partition) -> IntPolynomial:
@@ -182,38 +185,28 @@ def reduced_poly_p(p: Partition) -> IntPolynomial:
         raise NoSingletonParts(
             "no singleton parts; use det_B_charpoly for the residual"
         )
-    pairs = _size_counts(p.big_parts)  # none for the complete graph: x + 1 - h
-    return _with_repeats(_secular(pairs, p.h), pairs)
+    return char_poly_factored(p).residual
 
 
 def char_poly_factored(p: Partition) -> FactoredCharPoly:
     """(x+4)^(n-t) * (x+1)^(h-1) * residual."""
-    factors: list[tuple[int, int]] = []
-    if p.n - p.t > 0:
-        factors.append((4, p.n - p.t))
-    if p.h >= 1:
-        residual = reduced_poly_p(p)
-        if p.h - 1 > 0:
-            factors.append((1, p.h - 1))
-    else:
-        residual = det_B_charpoly(p)
-    return FactoredCharPoly(
-        linear_factors=tuple(factors), residual=residual, n=p.n
-    )
+    pairs = _size_counts(p.parts)
+    factors = tuple((c, e) for c, e in ((4, p.n - p.t), (1, p.h - 1)) if e > 0)
+    residual = _with_repeats(_secular(pairs), [(m, k) for m, k in pairs if m > 1])
+    return FactoredCharPoly(linear_factors=factors, residual=residual, n=p.n)
 
 
 def det_delta_exact(p: Partition) -> int:
     """det of the squared distance matrix, as an exact integer.
 
     prod(3ni - 4) + sum_i ni * prod_{j!=i}(3nj - 4) over all parts, read
-    off the grouped pole sum: prod_m (3m - 4)^(k-1) * (den + num).
+    off the grouped gap: prod_m (3m - 4)^(k-1) * num.
     Raises InfeasibleParameters when n - t > 10^6.
     """
     if p.n - p.t > 10**6:  # the factor (-4)^(n-t) alone has 2(n-t) bits
         raise InfeasibleParameters(f"n - t = {p.n - p.t} > 10^6: (-4)^(n-t) is too large")
     pairs = _size_counts(p.parts)
-    num, den = _pole_sum(pairs)
-    total = den + num
+    total, _ = _gap(pairs)
     for m, k in pairs:
         total *= (3 * m - 4) ** (k - 1)
     return (-4) ** (p.n - p.t) * total
@@ -225,25 +218,30 @@ class Sign(enum.Enum):
     NEGATIVE = "negative"
 
 
-def lambda_s1_sign(p: Partition) -> Sign:
-    """Exact sign of the (s+1)-th eigenvalue when singletons are present.
-
-    The sign is that of (h-1) - sum ni/(3ni-4) over the s parts >= 2.
-    Every factor 3ni - 4 >= 2 > 0, so comparing (h-1) * den with num for
-    the grouped pole sum num/den decides it exactly in integers.
-    """
-    if p.h == 0 or p.s == 0:
-        raise NotApplicable("sign criterion needs h >= 1 and s >= 1")
-    num, den = _pole_sum(_size_counts(p.big_parts))
-    lhs = (p.h - 1) * den
-    if lhs > num:
+def _lambda_sign(pairs: Sequence[tuple[int, int]]) -> Sign:
+    """Sign of lambda_{s+1} from the pairs over all parts; needs h >= 1,
+    where den < 0 and the criterion num/(-den) has the sign of num."""
+    num, _ = _gap(pairs)
+    if num > 0:
         return Sign.POSITIVE
-    if lhs == num:
+    if num == 0:
         return Sign.ZERO
     return Sign.NEGATIVE
 
 
+def lambda_s1_sign(p: Partition) -> Sign:
+    """Exact sign of the (s+1)-th eigenvalue when singletons are present.
+
+    The sign is that of (h-1) - sum ni/(3ni-4) over the s parts >= 2.
+    Singletons are the group (1, h) with pole -1, so this is the sign of
+    the numerator of the grouped gap over all parts, decided in integers.
+    """
+    if p.h == 0 or p.s == 0:
+        raise NotApplicable("sign criterion needs h >= 1 and s >= 1")
+    return _lambda_sign(_size_counts(p.parts))
+
+
 def criterion_gap(p: Partition) -> Fraction:
     """(h-1) - sum ni/(3ni-4) as an exact rational (diagnostic)."""
-    num, den = _pole_sum(_size_counts(p.big_parts))
-    return Fraction((p.h - 1) * den - num, den)
+    num, den = _gap(_size_counts(p.parts))
+    return Fraction(num, -den)

@@ -42,10 +42,6 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _fmt(value: float) -> float:
-    return float(f"{value:.12g}")
-
-
 def _emit(payload) -> None:
     if isinstance(payload, str):
         sys.stdout.write(payload + "\n")
@@ -123,18 +119,11 @@ def run(argv) -> int:
         elif args.command == "inertia":
             _emit(spectrum.inertia(p).to_json())
         elif args.command == "energy":
-            rep = spectrum.energy(p)
-            _emit(
-                {
-                    "integer_part": str(rep.integer_part),
-                    "theta": None if rep.theta is None else _fmt(rep.theta),
-                    "value": _fmt(rep.value),
-                }
-            )
+            _emit(spectrum.energy(p).to_json())
         elif args.command == "radius":
             width = spectrum.BRACKET_WIDTH if args.tol is None else Fraction(args.tol)
             value, (lo, hi) = spectrum.spectral_radius(p, width)
-            _emit({"value": _fmt(value), "lo": lo, "hi": hi})
+            _emit({"value": spectrum._fmt(value), "lo": lo, "hi": hi})
         elif args.command == "charpoly":
             _emit(char_poly_factored(p).to_json())
         elif args.command in ("scan-energy", "scan-radius", "scan-h"):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .charpoly import Sign, lambda_s1_sign
-from .errors import NotMajorized
+from .errors import InfeasibleParameters, NotMajorized
 from .partitions import (
     Partition,
     Verdict,
@@ -187,7 +187,10 @@ def scan_energy_h(n: int, t: int, h: int) -> ScanReport:
     Extremality at S_{n,t,h}/T_{n,t,h} always holds; uniqueness of both is
     asserted only under the paper-style condition that the Turan-like
     minimizer has lambda_{s+1} <= 0, and merely recorded otherwise.
+    Raises InfeasibleParameters for h < 1, where that sign is undefined.
     """
+    if h < 1:
+        raise InfeasibleParameters(f"need h >= 1 singleton parts, got h={h}")
     members = list(enumerate_class(n, t, h))
     report = _scan("energy", n, t, h, members, energy, compare_energy)
     report.signs = {p: lambda_s1_sign(p).value for p in members}

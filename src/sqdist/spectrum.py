@@ -9,9 +9,9 @@ ends are integer numerators over one common denominator that doubles with
 each halving, and the sign of the residual at num/den is read off the
 integer den^deg * P(num/den) (IntPolynomial.sign_at).  No Fraction is formed
 until the final bracket, and each query isolates only the roots it reports.
-The complete graph takes the same path: its residual x + 1 - h has no poles,
-and its root h-1 is the upper end 3*1 + n - 4 of the general bracket, an
-exact hit that bisection returns at once as h-1 -+ 2^-60.
+Singletons are the size-1 group with pole -1, so the complete graph's
+residual is x + 1 - h; its root h-1 is the upper end 3*1 + n - 4 of the
+bracket, an exact hit that bisection returns at once as h-1 -+ 2^-60.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .charpoly import IntPolynomial, Sign, _secular, _size_counts, lambda_s1_sign
+from .charpoly import IntPolynomial, Sign, _lambda_sign, _secular, _size_counts
 from .errors import BracketFailure
 from .partitions import Partition
 
@@ -119,19 +119,24 @@ class EnergyReport:
     def to_json(self) -> dict:
         return {
             "integer_part": str(self.integer_part),
-            "theta": self.theta,
-            "value": self.value,
+            "theta": None if self.theta is None else _fmt(self.theta),
+            "value": _fmt(self.value),
         }
+
+
+def _fmt(value: float) -> float:
+    """The float printed with 12 significant digits."""
+    return float(f"{value:.12g}")
 
 
 def deflated_residual(p: Partition) -> IntPolynomial:
     """The simple-root part of the residual polynomial.
 
     Repeated poles are removed analytically; what remains has one simple root
-    per secular sign change.  It is built from the distinct part sizes >= 2
-    and their counts in O(d^2) for d distinct sizes.
+    per secular sign change.  It is built from the distinct part sizes and
+    their counts in O(d^2) for d distinct sizes; singletons are the pole -1.
     """
-    return _secular(_size_counts(p.big_parts), p.h)
+    return _secular(_size_counts(p.parts))
 
 
 def _bisect(
@@ -193,24 +198,20 @@ def secular_roots(p: Partition) -> list[IsolatedRoot]:
     """All simple roots of the deflated residual, ascending, with brackets.
 
     Bracket layout: one root per gap between consecutive distinct poles
-    3m-4, one above the largest pole, and (when singletons are present) one
-    extra root in (-1, smallest pole).
+    3m-4 and one above the largest pole; singletons are the pole -1, so with
+    them the lowest root lies in (-1, smallest pole of the sizes >= 2).
     """
     poly = deflated_residual(p)
-    ends = [Fraction(-1)] if p.h >= 1 else []
-    ends += [Fraction(3 * m - 4) for m, _ in _size_counts(p.big_parts)]
+    ends = [Fraction(3 * m - 4) for m, _ in _size_counts(p.parts)]
     ends.append(Fraction(_upper_bound(p)))
     return [_isolate(poly, lo, hi) for lo, hi in zip(ends, ends[1:])]
 
 
 def full_spectrum(p: Partition) -> SpectrumReport:
     """Assemble the exact and isolated parts; multiplicities sum to n."""
-    exact: list[tuple[Fraction, int]] = []
-    for m, k in _size_counts(p.big_parts):
-        if k >= 2:
-            exact.append((Fraction(3 * m - 4), k - 1))
-    if p.h >= 2:
-        exact.append((Fraction(-1), p.h - 1))
+    # k equal sizes m give 3m-4 with multiplicity k-1; the singletons' -1 last
+    groups = sorted(_size_counts(p.parts), key=lambda mk: mk[0] == 1)
+    exact = [(Fraction(3 * m - 4), k - 1) for m, k in groups if k >= 2]
     if p.n - p.t > 0:
         exact.append((Fraction(-4), p.n - p.t))
     report = SpectrumReport(exact=tuple(exact), isolated=tuple(secular_roots(p)))
@@ -223,10 +224,7 @@ def inertia(p: Partition) -> InertiaTriple:
     n, t, s, h = p.n, p.t, p.s, p.h
     if h == 0:
         return InertiaTriple(t, 0, n - t, "all-parts-ge-2")
-    if s == 0:
-        # complete graph: lambda_1 = n-1 > 0, so the positive case applies
-        return InertiaTriple(1, 0, n - 1, "singleton-case-positive")
-    sign = lambda_s1_sign(p)
+    sign = _lambda_sign(_size_counts(p.parts))
     if sign is Sign.POSITIVE:
         return InertiaTriple(s + 1, 0, n - s - 1, "singleton-case-positive")
     if sign is Sign.ZERO:
@@ -236,16 +234,16 @@ def inertia(p: Partition) -> InertiaTriple:
 
 def energy(p: Partition) -> EnergyReport:
     """Closed-form energy, exact except for the optional theta correction."""
-    n, t, s, h = p.n, p.t, p.s, p.h
+    n, t, h = p.n, p.t, p.h
     if h == 0:
         ip = 8 * (n - t)
         return EnergyReport(ip, None, None, float(ip))
     ip = 8 * (n - t) + 2 * (h - 1)
-    if s == 0 or lambda_s1_sign(p) is not Sign.NEGATIVE:
+    pairs = _size_counts(p.parts)
+    if _lambda_sign(pairs) is not Sign.NEGATIVE:
         return EnergyReport(ip, None, None, float(ip))
-    # the unique root in (-1, 0) lies in the lowest secular gap
-    lowest_pole = 3 * min(p.big_parts) - 4
-    lam = _isolate(deflated_residual(p), Fraction(-1), Fraction(lowest_pole))
+    # the root in (-1, 0) lies below the pole of the smallest size >= 2 (s >= 1)
+    lam = _isolate(_secular(pairs), Fraction(-1), Fraction(3 * pairs[1][0] - 4))
     if not (Fraction(-1) < lam.lo_exact and lam.hi_exact < 0):
         lam = lam.refined(40)
     theta = -lam.value

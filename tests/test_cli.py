@@ -4,6 +4,8 @@ import math
 import pytest
 
 from sqdist import cli
+from sqdist.partitions import Partition
+from sqdist.spectrum import energy
 
 
 def run(capsys, *argv):
@@ -54,6 +56,12 @@ class TestQueries:
         assert payload["integer_part"] == "16"
         assert payload["theta"] == pytest.approx(math.sqrt(13) - 3, abs=1e-9)
         assert payload["value"] == pytest.approx(10 + 2 * math.sqrt(13), abs=1e-9)
+
+    @pytest.mark.parametrize("parts", [(2, 2, 1), (3, 3)])
+    def test_energy_is_report_json(self, capsys, parts):
+        code, out, _ = run(capsys, "energy", ",".join(map(str, parts)))
+        assert code == 0
+        assert json.loads(out) == energy(Partition(parts)).to_json()
 
     def test_inertia(self, capsys):
         code, out, _ = run(capsys, "inertia", "2,1,1")
@@ -130,6 +138,11 @@ class TestExitCodes:
         code, _, err = run(capsys, "energy", "0,2")
         assert code == 1
         assert "error" in err
+
+    def test_scan_h_without_singletons_is_domain_error(self, capsys):
+        code, out, err = run(capsys, "scan-h", "6", "3", "--h", "0")
+        assert code == 1 and out == ""
+        assert err == "error: need h >= 1 singleton parts, got h=0\n"
 
     def test_single_part_is_domain_error(self, capsys):
         code, _, _ = run(capsys, "energy", "5")

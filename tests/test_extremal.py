@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from sqdist import extremal
-from sqdist.errors import NotMajorized
+from sqdist.errors import InfeasibleParameters, NotMajorized
 from sqdist.extremal import (
     ChainReport,
     compare_energy,
@@ -175,6 +175,12 @@ class TestSingleEvaluation:
         calls = _count_calls(monkeypatch, name)
         report = scan(*args)
         assert calls == Counter(p for p, _ in report.values)
+
+    def test_scan_h_without_singletons_evaluates_nothing(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "energy")
+        with pytest.raises(InfeasibleParameters, match="h >= 1"):
+            scan_energy_h(6, 3, 0)
+        assert not calls
 
 
 class TestElementaryNeighbors:

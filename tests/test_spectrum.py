@@ -243,6 +243,18 @@ class TestInertia:
         tri = inertia(Partition((1, 1, 1)))
         assert (tri.n_plus, tri.n_zero, tri.n_minus) == (1, 0, 2)
 
+    def test_complete_graphs_up_to_40(self):
+        for h in range(2, 41):
+            tri = inertia(Partition((1,) * h))
+            assert (tri.n_plus, tri.n_zero, tri.n_minus) == (1, 0, h - 1)
+            assert tri.derivation == "singleton-case-positive"
+
+    def test_single_vertex(self):
+        # the 1 x 1 zero matrix: lambda_{s+1} = lambda_1 = 0
+        tri = inertia(Partition((1,)))
+        assert (tri.n_plus, tri.n_zero, tri.n_minus) == (0, 1, 0)
+        assert tri.derivation == "singleton-case-zero"
+
     def test_totals(self):
         for _, _, parts in all_partitions_upto(12):
             p = Partition(parts)
@@ -272,6 +284,12 @@ class TestEnergy:
     def test_zero_case_integer(self):
         rep = energy(Partition((2, 1, 1)))
         assert rep.integer_part == 10 and rep.theta is None
+
+    def test_complete_graphs_up_to_40(self):
+        for h in range(2, 41):
+            rep = energy(Partition((1,) * h))
+            assert rep.integer_part == 2 * (h - 1) and rep.value == 2 * (h - 1)
+            assert rep.theta is None and rep.theta_root is None
 
     def test_bounds_with_singletons(self):
         for _, _, parts in all_partitions_upto(12):
