@@ -9,6 +9,7 @@ exactly.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -66,8 +67,48 @@ class IntPolynomial:
             pw *= den
         return (acc > 0) - (acc < 0)
 
+    def gcd(self, other: "IntPolynomial") -> "IntPolynomial":
+        """Greatest common divisor over Z, primitive with a positive leading
+        coefficient (the zero polynomial when both are zero).
+
+        Primitive PRS: each pseudo-remainder is taken in integers, then its
+        content is divided out, so coefficients stay small.
+        """
+        a, b = _primitive(self.coeffs), _primitive(other.coeffs)
+        if len(a) < len(b):
+            a, b = b, a
+        while b:
+            a, b = b, _primitive(_pseudo_remainder(a, b))
+        return IntPolynomial(tuple(a))
+
     def to_json(self) -> dict:
         return {"coeffs": [str(c) for c in self.coeffs], "ascending": True}
+
+
+def _primitive(cs: Sequence[int]) -> list[int]:
+    """cs over the gcd of its entries, leading coefficient made positive."""
+    g = math.gcd(*cs)
+    if g == 0:
+        return []
+    if cs[-1] < 0:
+        g = -g
+    return [c // g for c in cs]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """lc(b)^k * a mod b for some k >= 0: the remainder over Z, no division.
+
+    Both are ascending with nonzero leading entries; len(a) >= len(b).
+    """
+    r, lc = list(a), b[-1]
+    while len(r) >= len(b):
+        c, shift = r[-1], len(r) - len(b)
+        r = [lc * x for x in r]
+        for i, y in enumerate(b):
+            r[shift + i] -= c * y
+        while r and r[-1] == 0:
+            r.pop()
+    return r
 
 
 def linear(c: int) -> IntPolynomial:

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 domain error, 2 verification failure, 64 usage.
 JSON is the default output; --csv switches spectrum and the scans to CSV.
-Floats are printed with 12 significant digits; exact integers as decimal
-strings.
+JSON floats are printed in full (Python's shortest round-trip repr), CSV
+floats with 12 significant digits; exact integers as decimal strings.
 """
 
 from __future__ import annotations
@@ -122,8 +122,7 @@ def run(argv) -> int:
             _emit(spectrum.energy(p).to_json())
         elif args.command == "radius":
             width = spectrum.BRACKET_WIDTH if args.tol is None else Fraction(args.tol)
-            value, (lo, hi) = spectrum.spectral_radius(p, width)
-            _emit({"value": spectrum._fmt(value), "lo": lo, "hi": hi})
+            _emit(spectrum.spectral_radius_root(p, width).to_json())
         elif args.command == "charpoly":
             _emit(char_poly_factored(p).to_json())
         elif args.command in ("scan-energy", "scan-radius", "scan-h"):

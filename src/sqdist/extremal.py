@@ -2,8 +2,11 @@
 
 Energy ties are real (whole families can sit at the integer value), so every
 comparison here is exact: integer energy parts are compared as integers and
-the irrational corrections through certified root brackets, refined with
-exact rational bisection until disjoint.  Float equality is never used.
+the irrational corrections through certified root brackets.  A tie between
+two roots is proven by the integer gcd of their polynomials changing sign or
+vanishing on the overlap of the brackets; distinct roots are separated by
+exact rational bisection until the brackets are disjoint.  Float equality is
+never used, and no answer rests on a refinement cutoff.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .partitions import (
     turan_h,
 )
 from .spectrum import (
+    BISECT_STEPS,
     EnergyReport,
     IsolatedRoot,
     energy,
@@ -33,20 +37,31 @@ from .spectrum import (
     spectral_radius_root,
 )
 
-_REFINE_ROUNDS = 6
-_REFINE_STEPS = 50
-
 
 def _compare_roots(a: IsolatedRoot, b: IsolatedRoot) -> int:
-    """-1/0/+1 for the exact roots behind two certified brackets."""
-    for _ in range(_REFINE_ROUNDS):
+    """-1/0/+1 for the exact roots behind two certified brackets.
+
+    Each bracket isolates one simple root of its polynomial, so the roots are
+    equal iff G = gcd(P, Q) vanishes or changes sign on the overlap of the
+    brackets: G has at most one root there, and that root is simple.
+    Otherwise the roots differ, and refinement separates the brackets after
+    finitely many halvings.
+    """
+    if a.hi_exact < b.lo_exact:
+        return -1
+    if b.hi_exact < a.lo_exact:
+        return 1
+    g = a.poly.gcd(b.poly)
+    lo, hi = max(a.lo_exact, b.lo_exact), min(a.hi_exact, b.hi_exact)
+    s_lo, s_hi = (g.sign_at(x.numerator, x.denominator) for x in (lo, hi))
+    if s_lo * s_hi <= 0:
+        return 0
+    while True:
+        a, b = a.refined(BISECT_STEPS), b.refined(BISECT_STEPS)
         if a.hi_exact < b.lo_exact:
             return -1
         if b.hi_exact < a.lo_exact:
             return 1
-        a = a.refined(_REFINE_STEPS)
-        b = b.refined(_REFINE_STEPS)
-    return 0  # indistinguishable at ~2^-300; treated as a tie
 
 
 def compare_energy(a: EnergyReport, b: EnergyReport) -> int:

@@ -12,8 +12,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import bfs_distances
-from .errors import DisconnectedGraph
+from .errors import DisconnectedGraph, InfeasibleParameters
 from .partitions import Partition
+
+# Largest order built explicitly: the matrix holds n^2 floats and the graph
+# about n^2/2 edges in a Python set, so both stay within tens of megabytes.
+MAX_ORDER = 500
+
+
+def _check_order(p: Partition) -> None:
+    if p.n > MAX_ORDER:
+        raise InfeasibleParameters(
+            f"order n = {p.n} > {MAX_ORDER}: too large to build explicitly"
+        )
 
 
 @dataclass
@@ -61,7 +72,11 @@ class SimpleGraph:
 
 
 def sqdist_from_partition(p: Partition) -> DenseSymMatrix:
-    """Closed-form squared distance matrix of K_{n1,...,nt}."""
+    """Closed-form squared distance matrix of K_{n1,...,nt}.
+
+    Raises InfeasibleParameters above MAX_ORDER.
+    """
+    _check_order(p)
     n = p.n
     data = np.ones((n, n), dtype=np.float64)
     offset = 0
@@ -74,7 +89,11 @@ def sqdist_from_partition(p: Partition) -> DenseSymMatrix:
 
 
 def multipartite_graph(p: Partition) -> SimpleGraph:
-    """Explicit K_{n1,...,nt}: edge iff endpoints lie in different parts."""
+    """Explicit K_{n1,...,nt}: edge iff endpoints lie in different parts.
+
+    Raises InfeasibleParameters above MAX_ORDER.
+    """
+    _check_order(p)
     part_of = []
     for idx, size in enumerate(p.parts):
         part_of.extend([idx] * size)

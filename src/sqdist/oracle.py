@@ -21,6 +21,8 @@ from .spectrum import energy, full_spectrum, inertia
 
 DEFAULT_TOL = 1e-12
 MAX_SWEEPS = 100
+EIG_TOL = 1e-9  # largest closed-form vs Jacobi eigenvalue deviation that passes
+ZERO_THRESHOLD = 1e-7  # Jacobi eigenvalues within this of 0 count as zero
 
 
 @dataclass(frozen=True)
@@ -68,12 +70,7 @@ class VerificationRecord:
         }
 
 
-def verify_partition(
-    p: Partition,
-    tol: float = DEFAULT_TOL,
-    eig_tol: float = 1e-9,
-    zero_threshold: float = 1e-7,
-) -> VerificationRecord:
+def verify_partition(p: Partition, tol: float = DEFAULT_TOL) -> VerificationRecord:
     """Cross-check every closed-form invariant against the Jacobi oracle."""
     delta = sqdist_from_partition(p)
     oracle = symmetric_eigenvalues(delta, tol)
@@ -84,8 +81,8 @@ def verify_partition(
     )
 
     ine = inertia(p)
-    n_plus = sum(1 for v in oracle.eigenvalues if v > zero_threshold)
-    n_minus = sum(1 for v in oracle.eigenvalues if v < -zero_threshold)
+    n_plus = sum(1 for v in oracle.eigenvalues if v > ZERO_THRESHOLD)
+    n_minus = sum(1 for v in oracle.eigenvalues if v < -ZERO_THRESHOLD)
     n_zero = p.n - n_plus - n_minus
     inertia_ok = (ine.n_plus, ine.n_zero, ine.n_minus) == (n_plus, n_zero, n_minus)
 
@@ -102,7 +99,7 @@ def verify_partition(
     else:
         det_ok = abs(det_oracle - det_exact) <= 1e-6 * abs(det_exact)
 
-    passed = max_dev <= eig_tol and inertia_ok and energy_dev <= 1e-7 and det_ok
+    passed = max_dev <= EIG_TOL and inertia_ok and energy_dev <= 1e-7 and det_ok
     return VerificationRecord(
         partition=p,
         max_eig_deviation=max_dev,

@@ -148,6 +148,11 @@ def apply_step(parts: Sequence[int], step: MajorizationStep) -> tuple[int, ...]:
     return tuple(out)
 
 
+# Longest elementary chain built: each step is one unit moved, and a chain
+# step is evaluated (radius and energy) by extremal.verify_chain_monotone.
+MAX_CHAIN_STEPS = 10**4
+
+
 def elementary_chain(
     y: Partition, x: Partition
 ) -> list[tuple[Partition, MajorizationStep]]:
@@ -158,12 +163,19 @@ def elementary_chain(
     every intermediate prefix sum at or above the target's (the first short
     index always qualifies, so k exists).  The unit actually moves between
     the run boundaries around j and k so every intermediate stays descending.
+    Raises InfeasibleParameters when the chain must exceed MAX_CHAIN_STEPS:
+    each step moves one unit, so sum max(0, yi - xi) bounds its length below.
     """
     verdict = majorizes(y, x)
     if verdict is Verdict.EQUAL:
         raise Identical("chain endpoints are equal after sorting")
     if verdict is not Verdict.STRICT:
         raise NotMajorized(f"{y} does not strictly majorize {x}")
+    excess = sum(max(0, a - b) for a, b in zip(y.parts, x.parts))
+    if excess > MAX_CHAIN_STEPS:
+        raise InfeasibleParameters(
+            f"chain needs at least {excess} steps > {MAX_CHAIN_STEPS}"
+        )
 
     cur = list(y.parts)
     tgt = list(x.parts)

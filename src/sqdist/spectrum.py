@@ -35,8 +35,9 @@ class IsolatedRoot:
     """A simple root with a certified isolating bracket.
 
     lo_exact/hi_exact are dyadic rationals where the residual polynomial has
-    opposite signs; value is the float midpoint.  poly is the deflated
-    residual the bracket certifies against.
+    opposite signs, or both the root itself once refined collapses an exact
+    hit; value is the float midpoint.  poly is the deflated residual the
+    bracket certifies against.
     """
 
     value: float
@@ -53,6 +54,15 @@ class IsolatedRoot:
         return float(self.hi_exact)
 
     def refined(self, steps: int) -> "IsolatedRoot":
+        """The bracket after up to steps more halvings.
+
+        A bracket whose midpoint r is the root, such as an exact hit
+        r -+ 2^-60, collapses to [r, r], which is then a fixed point; so
+        repeated refinement always shrinks the bracket onto the root.
+        """
+        mid = (self.lo_exact + self.hi_exact) / 2
+        if self.poly.sign_at(mid.numerator, mid.denominator) == 0:
+            return IsolatedRoot(float(mid), mid, mid, self.poly)
         lo, hi = _bisect(self.poly, self.lo_exact, self.hi_exact, steps, Fraction(0))
         return IsolatedRoot(float((lo + hi) / 2), lo, hi, self.poly)
 
@@ -119,14 +129,9 @@ class EnergyReport:
     def to_json(self) -> dict:
         return {
             "integer_part": str(self.integer_part),
-            "theta": None if self.theta is None else _fmt(self.theta),
-            "value": _fmt(self.value),
+            "theta": self.theta,
+            "value": self.value,
         }
-
-
-def _fmt(value: float) -> float:
-    """The float printed with 12 significant digits."""
-    return float(f"{value:.12g}")
 
 
 def deflated_residual(p: Partition) -> IntPolynomial:
@@ -201,8 +206,9 @@ def secular_roots(p: Partition) -> list[IsolatedRoot]:
     3m-4 and one above the largest pole; singletons are the pole -1, so with
     them the lowest root lies in (-1, smallest pole of the sizes >= 2).
     """
-    poly = deflated_residual(p)
-    ends = [Fraction(3 * m - 4) for m, _ in _size_counts(p.parts)]
+    pairs = _size_counts(p.parts)
+    poly = _secular(pairs)
+    ends = [Fraction(3 * m - 4) for m, _ in pairs]
     ends.append(Fraction(_upper_bound(p)))
     return [_isolate(poly, lo, hi) for lo, hi in zip(ends, ends[1:])]
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import all_partitions_upto, bareiss_det, charpoly_via_bareiss
@@ -23,6 +23,17 @@ from sqdist.errors import InfeasibleParameters, NoSingletonParts, NotApplicable
 from sqdist.matrices import sqdist_from_partition
 from sqdist.partitions import Partition
 from sqdist.spectrum import deflated_residual
+
+
+def _divides(d: IntPolynomial, p: IntPolynomial) -> bool:
+    """Whether d divides p over Q, by long division in Fractions."""
+    r = [Fraction(c) for c in p.coeffs]
+    while len(r) >= len(d.coeffs):
+        q, shift = r[-1] / d.coeffs[-1], len(r) - len(d.coeffs)
+        for i, c in enumerate(d.coeffs):
+            r[shift + i] -= q * c
+        r.pop()  # the leading entry is now zero
+    return not any(r)
 
 
 class TestIntPolynomial:
@@ -71,6 +82,32 @@ class TestIntPolynomial:
         # den*x - num vanishes at num/den whether or not the fraction is reduced
         poly = IntPolynomial((-num, den)) * IntPolynomial.make(coeffs)
         assert poly.sign_at(num, den) == 0
+
+    def test_gcd_examples(self):
+        a = linear(-32) * IntPolynomial((-3, 1))  # x^2 - 35x + 96
+        b = linear(-32) * IntPolynomial((-12, 1))  # x^2 - 44x + 384
+        assert a.gcd(b).coeffs == (-32, 1)
+        assert (IntPolynomial((6,)) * a).gcd(IntPolynomial((-4,)) * b).coeffs == (-32, 1)
+        assert a.gcd(linear(5)).coeffs == (1,)
+        assert a.gcd(a).coeffs == a.coeffs
+        assert a.gcd(IntPolynomial(())).coeffs == a.coeffs
+        assert IntPolynomial(()).gcd(IntPolynomial((-6, -4))).coeffs == (3, 2)
+        assert IntPolynomial(()).gcd(IntPolynomial(())).coeffs == ()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.lists(st.integers(-20, 20), min_size=1, max_size=5),
+        b=st.lists(st.integers(-20, 20), min_size=1, max_size=5),
+        c=st.lists(st.integers(-20, 20), min_size=2, max_size=4),
+    )
+    def test_gcd_of_common_multiples(self, a, b, c):
+        a, b, c = IntPolynomial.make(a), IntPolynomial.make(b), IntPolynomial.make(c)
+        assume(a.degree >= 0 and b.degree >= 0 and c.degree >= 1)
+        pa, pb = a * c, b * c
+        g = pa.gcd(pb)
+        assert g.coeffs[-1] > 0
+        assert _divides(c, g)
+        assert _divides(g, pa) and _divides(g, pb)
 
 
 class TestReducedMatrix:

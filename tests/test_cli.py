@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -74,8 +75,8 @@ class TestQueries:
         assert code == 0
         payload = json.loads(out)
         assert payload["value"] == pytest.approx(6 + math.sqrt(10), abs=1e-9)
-        # value is rounded to 12 significant digits for display
-        assert payload["lo"] - 1e-9 <= payload["value"] <= payload["hi"] + 1e-9
+        # value is the full float midpoint of the certified bracket
+        assert payload["lo"] <= payload["value"] <= payload["hi"]
 
     def test_radius_tol(self, capsys):
         code, out, _ = run(capsys, "radius", "3,2", "--tol", "0.5")
@@ -151,6 +152,13 @@ class TestExitCodes:
     def test_chain_identical_is_domain_error(self, capsys):
         code, _, _ = run(capsys, "chain", "2,2", "2,2")
         assert code == 1
+
+    def test_overlong_chain_is_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "chain", "1000000000000,1", "500000000001,500000000000")
+        assert code == 1 and out == ""
+        assert "steps" in err
+        assert time.perf_counter() - start < 1.0
 
     def test_usage_error_no_args(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

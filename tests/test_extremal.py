@@ -1,11 +1,14 @@
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from sqdist import extremal
+from sqdist.charpoly import IntPolynomial, linear
 from sqdist.errors import InfeasibleParameters, NotMajorized
 from sqdist.extremal import (
     ChainReport,
+    _compare_roots,
     compare_energy,
     compare_radius,
     elementary_neighbors,
@@ -15,7 +18,7 @@ from sqdist.extremal import (
     verify_chain_monotone,
 )
 from sqdist.partitions import Partition
-from sqdist.spectrum import energy
+from sqdist.spectrum import _isolate, energy, spectral_radius_root
 
 
 class TestComparators:
@@ -38,6 +41,43 @@ class TestComparators:
         assert compare_radius(Partition((4, 1, 1)), Partition((3, 2, 1))) == 1
         assert compare_radius(Partition((2, 2, 2)), Partition((3, 2, 1))) == -1
         assert compare_radius(Partition((3, 2)), Partition((3, 2))) == 0
+
+    @pytest.mark.parametrize(
+        "p, q, gcd_degree",
+        [
+            ((8, 4, 4), (7, 7, 2), 1),  # shared root 32
+            ((7, 3, 3, 3, 2, 2, 2), (6, 6, 2, 2, 2, 2, 2), 1),  # shared root 32
+            ((6, 6, 3, 3, 3, 3), (6, 5, 5, 4, 2, 2), 2),  # x^2 - 43x + 298
+        ],
+    )
+    def test_radius_ties_are_proven(self, p, q, gcd_degree):
+        p, q = Partition(p), Partition(q)
+        a, b = spectral_radius_root(p), spectral_radius_root(q)
+        assert a.poly.gcd(b.poly).degree == gcd_degree
+        assert compare_radius(p, q) == compare_radius(q, p) == 0
+
+    def test_close_roots_are_separated(self):
+        # root 0 is an exact hit of bisection, root 2^-70 lies inside its
+        # bracket; gcd(x, 2^70 x - 1) = 1, so the brackets must separate
+        zero = _isolate(IntPolynomial((0, 1)), Fraction(-1), Fraction(1))
+        tiny = _isolate(IntPolynomial((-1, 2**70)), Fraction(-1), Fraction(1))
+        assert zero.lo_exact < tiny.lo_exact < zero.hi_exact
+        assert _compare_roots(zero, tiny) == -1
+        assert _compare_roots(tiny, zero) == 1
+
+    def test_tie_with_a_collapsed_bracket(self):
+        # [3, 3] against a bracket of 3 from another polynomial: the gcd
+        # x - 3 vanishes at the overlap end
+        point = _isolate(linear(-3), Fraction(2), Fraction(4)).refined(1)
+        other = _isolate(linear(-3) * linear(-10), Fraction(2), Fraction(5))
+        assert point.lo_exact == point.hi_exact == 3
+        assert _compare_roots(point, other) == _compare_roots(other, point) == 0
+        assert _compare_roots(point, point) == 0
+
+    def test_energy_tie_on_theta(self):
+        p = Partition((2, 2, 1))
+        assert energy(p).theta_root is not None
+        assert compare_energy(energy(p), energy(p)) == 0
 
 
 class TestScanEnergy:

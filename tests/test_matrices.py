@@ -6,14 +6,31 @@ from conftest import (
     complete_multipartite_edges,
     triangle_distances,
 )
-from sqdist.errors import DisconnectedGraph
+from sqdist.errors import DisconnectedGraph, InfeasibleParameters
 from sqdist.matrices import (
+    MAX_ORDER,
     SimpleGraph,
     multipartite_graph,
     sqdist_from_graph,
     sqdist_from_partition,
 )
 from sqdist.partitions import Partition
+
+
+class TestMaxOrder:
+    def test_largest_allowed_order_builds(self):
+        p = Partition((MAX_ORDER - 2, 1, 1))
+        m = sqdist_from_partition(p)
+        assert m.order == MAX_ORDER and m.entry_int(0, MAX_ORDER - 1) == 1
+        g = multipartite_graph(p)
+        assert g.n == MAX_ORDER and len(g.edges) == 2 * (MAX_ORDER - 2) + 1
+
+    @pytest.mark.parametrize("build", [sqdist_from_partition, multipartite_graph])
+    def test_larger_orders_refused(self, build):
+        with pytest.raises(InfeasibleParameters):
+            build(Partition((MAX_ORDER - 1, 2)))
+        with pytest.raises(InfeasibleParameters):
+            build(Partition((10**20, 1)))
 
 
 class TestClosedForm:

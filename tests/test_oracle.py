@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,14 @@ from sqdist.partitions import Partition, enumerate_partitions
 def _sym(data) -> DenseSymMatrix:
     arr = np.asarray(data, dtype=np.float64)
     return DenseSymMatrix(order=arr.shape[0], data=arr)
+
+
+class TestOversized:
+    def test_huge_partition_is_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(InfeasibleParameters, match="order"):
+            verify_partition(Partition((10**20, 1)))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestJacobiEigenvalues:

@@ -14,6 +14,7 @@ from sqdist.errors import (
     PartCountBelowTwo,
 )
 from sqdist.partitions import (
+    MAX_CHAIN_STEPS,
     MajorizationStep,
     Partition,
     Verdict,
@@ -151,6 +152,14 @@ class TestElementaryChain:
     def test_not_majorized_rejected(self):
         with pytest.raises(NotMajorized):
             elementary_chain(Partition((2, 2)), Partition((3, 1)))
+
+    def test_longest_allowed_chain(self):
+        # moving MAX_CHAIN_STEPS units from the first part to the second
+        k = MAX_CHAIN_STEPS
+        chain = elementary_chain(Partition((2 * k + 1, 1)), Partition((k + 1, k + 1)))
+        assert len(chain) == k
+        with pytest.raises(InfeasibleParameters, match="steps"):
+            elementary_chain(Partition((2 * k + 3, 1)), Partition((k + 2, k + 2)))
 
     def _check_chain(self, y, x):
         chain = elementary_chain(y, x)

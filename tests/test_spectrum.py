@@ -12,6 +12,7 @@ from sqdist.spectrum import (
     BISECT_STEPS,
     BRACKET_WIDTH,
     _bisect,
+    _isolate,
     deflated_residual,
     energy,
     full_spectrum,
@@ -120,6 +121,15 @@ class TestBisect:
     def test_no_sign_change(self):
         with pytest.raises(BracketFailure):
             _bisect(linear(-5), Fraction(0), Fraction(1), 60, BRACKET_WIDTH)
+
+
+class TestRefined:
+    def test_exact_hit_collapses_to_a_fixed_point(self):
+        hit = _isolate(linear(-3), Fraction(2), Fraction(4))  # midpoint is the root
+        assert (hit.lo_exact, hit.hi_exact) == (3 - Fraction(1, 2**60), 3 + Fraction(1, 2**60))
+        point = hit.refined(50)
+        assert point.lo_exact == point.hi_exact == 3 and point.value == 3.0
+        assert point.refined(50) == point
 
 
 class TestSecularRoots:
