@@ -46,7 +46,7 @@ from .spectrum import (
     inertia,
     radius_bipartite_closed,
     secular_roots,
-    spectral_radius,
+    spectral_radius_root,
 )
 from .extremal import (
     ChainReport,

@@ -124,13 +124,14 @@ class ScanReport:
         return out
 
     def to_csv(self) -> str:
+        """One row per member; the scanned quantity is read from values."""
         lines = ["partition,energy,radius,inertia"]
-        for p, _ in self.values:
-            en = energy(p)
-            rho = spectral_radius_root(p)
+        for p, v in self.values:
+            en = v if self.quantity == "energy" else energy(p).value
+            rho = v if self.quantity == "radius" else spectral_radius_root(p).value
             ine = inertia(p)
             lines.append(
-                f"\"{p}\",{en.value:.12g},{rho.value:.12g},"
+                f"\"{p}\",{en:.12g},{rho:.12g},"
                 f"({ine.n_plus} {ine.n_zero} {ine.n_minus})"
             )
         return "\n".join(lines)

@@ -15,7 +15,7 @@ import numpy as np
 from ._kernels import jacobi_eigensystem
 from .charpoly import det_delta_exact
 from .errors import InfeasibleParameters, NoConvergence
-from .matrices import DenseSymMatrix, sqdist_from_partition
+from .matrices import MAX_ORDER, DenseSymMatrix, sqdist_from_partition
 from .partitions import Partition, enumerate_partitions
 from .spectrum import energy, full_spectrum, inertia
 
@@ -137,9 +137,17 @@ class SweepSummary:
 
 
 def sweep(n_max: int, tol: float = DEFAULT_TOL) -> SweepSummary:
-    """verify_partition over every partition with 2 <= t <= n <= n_max."""
+    """verify_partition over every partition with 2 <= t <= n <= n_max.
+
+    Raises InfeasibleParameters before enumerating when n_max is below 2 or
+    above matrices.MAX_ORDER.
+    """
     if n_max < 2:
         raise InfeasibleParameters("sweep needs n_max >= 2")
+    if n_max > MAX_ORDER:
+        raise InfeasibleParameters(
+            f"nmax = {n_max} > {MAX_ORDER}: too large to build explicitly"
+        )
     targets = [
         p
         for n in range(2, n_max + 1)

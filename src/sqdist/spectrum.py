@@ -256,20 +256,12 @@ def energy(p: Partition) -> EnergyReport:
     return EnergyReport(ip, theta, lam, ip + 2 * theta)
 
 
-def spectral_radius(
-    p: Partition, width: Fraction = BRACKET_WIDTH
-) -> tuple[float, tuple[float, float]]:
-    """Largest eigenvalue via bisection on a certified Perron bracket.
+def spectral_radius_root(p: Partition, width: Fraction = BRACKET_WIDTH) -> IsolatedRoot:
+    """The Perron root, bracketed in [4(n1 - 1), 3n1 + n - 4].
 
     Bisection stops once the bracket is at most width wide (or after
     BISECT_STEPS halvings).
     """
-    root = spectral_radius_root(p, width)
-    return root.value, (root.lo, root.hi)
-
-
-def spectral_radius_root(p: Partition, width: Fraction = BRACKET_WIDTH) -> IsolatedRoot:
-    """The Perron root, bracketed in [4(n1 - 1), 3n1 + n - 4]."""
     lower = Fraction(4 * (p.parts[0] - 1))
     return _isolate(deflated_residual(p), lower, Fraction(_upper_bound(p)), width)
 

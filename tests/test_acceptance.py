@@ -29,7 +29,6 @@ from sqdist.spectrum import (
     full_spectrum,
     inertia,
     radius_bipartite_closed,
-    spectral_radius,
     spectral_radius_root,
 )
 
@@ -189,7 +188,7 @@ def test_criterion_08_bipartite_radius():
     for n1 in range(1, 51):
         for n2 in range(1, n1 + 1):
             closed = radius_bipartite_closed(n1, n2)
-            value, _ = spectral_radius(Partition((n1, n2)))
+            value = spectral_radius_root(Partition((n1, n2))).value
             assert abs(closed - value) <= 1e-10, (n1, n2)
     for p in _all_partitions(14):
         root = spectral_radius_root(p)

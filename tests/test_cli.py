@@ -160,6 +160,13 @@ class TestExitCodes:
         assert "steps" in err
         assert time.perf_counter() - start < 1.0
 
+    def test_verify_above_max_order_is_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--nmax", "501")
+        assert code == 1 and out == ""
+        assert err.startswith("error: nmax = 501")
+        assert time.perf_counter() - start < 1.0
+
     def test_usage_error_no_args(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.run([])

@@ -1,3 +1,8 @@
+import csv
+import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from fractions import Fraction
 
@@ -73,6 +78,40 @@ class TestComparators:
         assert point.lo_exact == point.hi_exact == 3
         assert _compare_roots(point, other) == _compare_roots(other, point) == 0
         assert _compare_roots(point, point) == 0
+
+    def test_tie_proofs_finish_before_a_deadline(self):
+        # _compare_roots refines without a cap, so a fault in the tie proof
+        # would hang; in a child process it fails this test instead
+        child = textwrap.dedent(
+            """
+            from fractions import Fraction
+            from sqdist.charpoly import linear
+            from sqdist.extremal import _compare_roots, compare_radius
+            from sqdist.partitions import Partition
+            from sqdist.spectrum import _isolate
+
+            ties = [
+                ((8, 4, 4), (7, 7, 2)),
+                ((7, 3, 3, 3, 2, 2, 2), (6, 6, 2, 2, 2, 2, 2)),
+                ((6, 6, 3, 3, 3, 3), (6, 5, 5, 4, 2, 2)),
+            ]
+            for p, q in ties:
+                print(compare_radius(Partition(p), Partition(q)), flush=True)
+            point = _isolate(linear(-3), Fraction(2), Fraction(4)).refined(1)
+            other = _isolate(linear(-3) * linear(-10), Fraction(2), Fraction(5))
+            print(_compare_roots(point, other), flush=True)
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", child],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+        except subprocess.TimeoutExpired as exc:
+            pytest.fail(f"tie proofs still running after 60 s; printed {exc.stdout!r}")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "0", "0", "0"]
 
     def test_energy_tie_on_theta(self):
         p = Partition((2, 2, 1))
@@ -215,6 +254,24 @@ class TestSingleEvaluation:
         calls = _count_calls(monkeypatch, name)
         report = scan(*args)
         assert calls == Counter(p for p, _ in report.values)
+
+    @pytest.mark.parametrize(
+        "scan, scanned, other, args",
+        [
+            (scan_energy, "energy", "spectral_radius_root", (8, 3)),
+            (scan_energy_h, "energy", "spectral_radius_root", (9, 4, 1)),
+            (scan_radius, "spectral_radius_root", "energy", (8, 3)),
+        ],
+    )
+    def test_csv_reuses_the_scanned_quantity(self, monkeypatch, scan, scanned, other, args):
+        report = scan(*args)
+        scanned_calls = _count_calls(monkeypatch, scanned)
+        other_calls = _count_calls(monkeypatch, other)
+        rows = list(csv.DictReader(report.to_csv().splitlines()))
+        assert not scanned_calls
+        assert other_calls == Counter(p for p, _ in report.values)
+        column = report.quantity
+        assert [row[column] for row in rows] == [f"{v:.12g}" for _, v in report.values]
 
     def test_scan_h_without_singletons_evaluates_nothing(self, monkeypatch):
         calls = _count_calls(monkeypatch, "energy")

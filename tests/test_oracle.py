@@ -2,9 +2,13 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sqdist.errors import InfeasibleParameters
-from sqdist.matrices import DenseSymMatrix, sqdist_from_partition
+from sqdist import oracle
+from sqdist._kernels import round_robin
+from sqdist.errors import InfeasibleParameters, NoConvergence
+from sqdist.matrices import MAX_ORDER, DenseSymMatrix, sqdist_from_partition
 from sqdist.oracle import (
     symmetric_eigenvalues,
     sweep,
@@ -24,6 +28,31 @@ class TestOversized:
         with pytest.raises(InfeasibleParameters, match="order"):
             verify_partition(Partition((10**20, 1)))
         assert time.perf_counter() - start < 1.0
+
+    def test_sweep_above_max_order_is_refused_before_enumerating(self):
+        start = time.perf_counter()
+        with pytest.raises(InfeasibleParameters, match="nmax"):
+            sweep(MAX_ORDER + 1)
+        assert time.perf_counter() - start < 1.0
+
+
+class TestRoundRobin:
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_each_pair_once_per_sweep(self, n):
+        rounds = round_robin(n)
+        assert len(rounds) == (n if n % 2 else n - 1)
+        seen = []
+        for p, q in rounds:
+            assert np.all(p < q)
+            indices = np.concatenate((p, q)).tolist()
+            assert len(indices) == len(set(indices))  # disjoint rotations
+            seen += zip(p.tolist(), q.tolist())
+        assert sorted(seen) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _random_symmetric(rng, n):
+    m = rng.normal(size=(n, n))
+    return (m + m.T) / 2
 
 
 class TestJacobiEigenvalues:
@@ -59,6 +88,37 @@ class TestJacobiEigenvalues:
     def test_tol_guard(self):
         with pytest.raises(ValueError):
             symmetric_eigenvalues(_sym([[0, 1], [1, 0]]), tol=0)
+
+    def test_diagonal_is_exact_in_zero_sweeps(self):
+        diag = [3.5, -2.0, 0.0, 7.25, 1e-3]
+        res = symmetric_eigenvalues(_sym(np.diag(diag)))
+        assert res.iterations == 0 and res.off_norm == 0.0
+        assert res.eigenvalues == tuple(sorted(diag, reverse=True))
+
+    def test_block_diagonal_keeps_exact_zeros(self):
+        # interleaved blocks: the 2x2 block {1, 4} with eigenvalues 3 and 1,
+        # and 1x1 blocks whose pairs all have a_pq == 0 and so stay exact
+        data = np.diag([5.0, 2.0, -1.5, 0.25, 2.0, 9.0])
+        data[1, 4] = data[4, 1] = 1.0
+        res = symmetric_eigenvalues(_sym(data))
+        assert res.iterations >= 1
+        one_by_one = [9.0, 5.0, 0.25, -1.5]
+        assert [v for v in res.eigenvalues if v in one_by_one] == one_by_one
+        rest = [v for v in res.eigenvalues if v not in one_by_one]
+        assert rest == pytest.approx([3.0, 1.0], abs=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 60), st.integers(0, 2**32 - 1))
+    def test_matches_lapack_on_random_matrices(self, n, seed):
+        sym = _random_symmetric(np.random.default_rng(seed), n)
+        res = symmetric_eigenvalues(_sym(sym))
+        ref = np.sort(np.linalg.eigvalsh(sym))[::-1]
+        assert np.allclose(res.eigenvalues, ref, rtol=0, atol=1e-9)
+
+    def test_sweep_cap_raises_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_SWEEPS", 1)
+        with pytest.raises(NoConvergence, match="after 1 sweeps"):
+            symmetric_eigenvalues(_sym(_random_symmetric(np.random.default_rng(7), 30)))
 
 
 class TestVerifyPartition:

@@ -19,7 +19,6 @@ from sqdist.spectrum import (
     inertia,
     radius_bipartite_closed,
     secular_roots,
-    spectral_radius,
     spectral_radius_root,
 )
 
@@ -329,32 +328,34 @@ class TestEnergy:
         # trace 0 makes E = 2 * (sum of positives) >= 2 * rho
         for _, _, parts in all_partitions_upto(10):
             p = Partition(parts)
-            rho, _ = spectral_radius(p)
+            rho = spectral_radius_root(p).value
             assert energy(p).value >= 2 * rho - 1e-9
 
 
 class TestSpectralRadius:
     def test_2_2(self):
-        value, (lo, hi) = spectral_radius(Partition((2, 2)))
+        root = spectral_radius_root(Partition((2, 2)))
+        value, lo, hi = root.value, root.lo, root.hi
         assert value == pytest.approx(6.0, abs=1e-12)
         assert lo <= value <= hi
 
     def test_3_2(self):
-        value, _ = spectral_radius(Partition((3, 2)))
+        value = spectral_radius_root(Partition((3, 2))).value
         assert value == pytest.approx(6 + SQRT10, abs=1e-9)
 
     def test_3_1(self):
-        value, _ = spectral_radius(Partition((3, 1)))
+        value = spectral_radius_root(Partition((3, 1))).value
         assert value == pytest.approx(4 + SQRT19, abs=1e-9)
 
     def test_complete_graph(self):
-        value, _ = spectral_radius(Partition((1, 1, 1, 1, 1)))
+        value = spectral_radius_root(Partition((1, 1, 1, 1, 1))).value
         assert value == 4.0
 
     def test_is_largest_eigenvalue(self):
         for _, _, parts in all_partitions_upto(12):
             p = Partition(parts)
-            value, (lo, hi) = spectral_radius(p)
+            root = spectral_radius_root(p)
+            value, lo, hi = root.value, root.lo, root.hi
             assert hi - lo <= 1e-11
             assert value == pytest.approx(full_spectrum(p).eigenvalues()[0], abs=1e-9)
 
@@ -378,7 +379,7 @@ class TestBipartiteClosedForm:
         for n1 in range(1, 21):
             for n2 in range(1, n1 + 1):
                 closed = radius_bipartite_closed(n1, n2)
-                value, _ = spectral_radius(Partition((n1, n2)))
+                value = spectral_radius_root(Partition((n1, n2))).value
                 assert closed == pytest.approx(value, abs=1e-10)
 
 
