@@ -23,7 +23,6 @@ from .matrices import (
 )
 from .oracle import EigenResult, sweep, symmetric_eigenvalues, verify_partition
 from .partitions import (
-    MajorizationStep,
     Partition,
     Verdict,
     canonicalize,

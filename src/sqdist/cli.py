@@ -9,6 +9,7 @@ floats with 12 significant digits; exact integers as decimal strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -49,6 +50,7 @@ def _emit(payload) -> None:
         sys.stdout.write(json.dumps(payload) + "\n")
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="sqdist")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -107,8 +109,7 @@ def _spectrum_csv(report) -> str:
 
 
 def run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
 
     try:
         if "partition" in args:

@@ -275,7 +275,7 @@ def verify_chain_monotone(y: Partition, x: Partition) -> ChainReport:
         raise NotMajorized(f"{y} does not strictly majorize {x}")
     prev_rho, prev_en = spectral_radius_root(y), energy(y)
     steps: list[ChainStepRecord] = []
-    for cur, _step in elementary_chain(y, x):
+    for cur in elementary_chain(y, x):
         rho, en = spectral_radius_root(cur), energy(cur)
         steps.append(
             ChainStepRecord(

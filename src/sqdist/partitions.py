@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -74,18 +75,6 @@ class Partition:
         }
 
 
-@dataclass(frozen=True)
-class MajorizationStep:
-    """One elementary move: -1 at index j, +1 at index k, with k > j."""
-
-    j: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if not self.k > self.j >= 0:
-            raise ValueError("step requires k > j >= 0")
-
-
 class Verdict(enum.Enum):
     STRICT = "strict"
     EQUAL = "equal-after-sort"
@@ -115,21 +104,13 @@ def parse_partition(text: str) -> Partition:
     return canonicalize(raw)
 
 
-def _prefix_sums(parts: Sequence[int]) -> list[int]:
-    out, acc = [], 0
-    for p in parts:
-        acc += p
-        out.append(acc)
-    return out
-
-
 def majorizes(x: Partition, y: Partition) -> Verdict:
     """Compare two partitions in the dominance (majorization) order."""
     if x.n != y.n:
         raise MismatchedTotals(f"totals differ: {x.n} vs {y.n}")
     if x.t != y.t:
         raise MismatchedLength(f"lengths differ: {x.t} vs {y.t}")
-    px, py = _prefix_sums(x.parts), _prefix_sums(y.parts)
+    px, py = list(accumulate(x.parts)), list(accumulate(y.parts))
     x_dominates = all(a >= b for a, b in zip(px, py))
     y_dominates = all(b >= a for a, b in zip(px, py))
     if x_dominates and y_dominates:
@@ -141,30 +122,23 @@ def majorizes(x: Partition, y: Partition) -> Verdict:
     return Verdict.INCOMPARABLE
 
 
-def apply_step(parts: Sequence[int], step: MajorizationStep) -> tuple[int, ...]:
-    out = list(parts)
-    out[step.j] -= 1
-    out[step.k] += 1
-    return tuple(out)
-
-
 # Longest elementary chain built: each step is one unit moved, and a chain
 # step is evaluated (radius and energy) by extremal.verify_chain_monotone.
 MAX_CHAIN_STEPS = 10**4
 
 
-def elementary_chain(
-    y: Partition, x: Partition
-) -> list[tuple[Partition, MajorizationStep]]:
-    """Descending chain y = Y0 > Y1 > ... > Yl = x of elementary moves.
+def elementary_chain(y: Partition, x: Partition) -> list[Partition]:
+    """The links [Y1, ..., Yl] of a chain y = Y0 > Y1 > ... > Yl = x.
 
-    Deterministic rule: j is the first index where the current tuple exceeds
-    the target entrywise; k is the largest entrywise-short index that keeps
-    every intermediate prefix sum at or above the target's (the first short
-    index always qualifies, so k exists).  The unit actually moves between
-    the run boundaries around j and k so every intermediate stays descending.
-    Raises InfeasibleParameters when the chain must exceed MAX_CHAIN_STEPS:
-    each step moves one unit, so sum max(0, yi - xi) bounds its length below.
+    Each step moves one unit from the last copy of cur[j] to the first copy
+    of cur[k], where j is the first index with cur[j] > x[j] and k is the
+    first index >= j where the prefix sums of cur and x meet.  Two facts
+    make this a chain: k is short (cur[k] < x[k]), since the prefix sums
+    are strictly apart on [j, k-1] and meet at k; so cur[j] > x[j] >= x[k]
+    > cur[k], and the new tuple stays descending and still majorizes x.  Each
+    step thus removes one unit of surplus, and the chain has exactly
+    sum max(0, yi - xi) links.  Raises InfeasibleParameters when that
+    exceeds MAX_CHAIN_STEPS.
     """
     verdict = majorizes(y, x)
     if verdict is Verdict.EQUAL:
@@ -173,35 +147,19 @@ def elementary_chain(
         raise NotMajorized(f"{y} does not strictly majorize {x}")
     excess = sum(max(0, a - b) for a, b in zip(y.parts, x.parts))
     if excess > MAX_CHAIN_STEPS:
-        raise InfeasibleParameters(
-            f"chain needs at least {excess} steps > {MAX_CHAIN_STEPS}"
-        )
+        raise InfeasibleParameters(f"chain needs {excess} steps > {MAX_CHAIN_STEPS}")
 
     cur = list(y.parts)
-    tgt = list(x.parts)
-    chain: list[tuple[Partition, MajorizationStep]] = []
-    while cur != tgt:
-        j = next(i for i, (c, g) in enumerate(zip(cur, tgt)) if c > g)
-        shorts = [i for i in range(j + 1, len(cur)) if cur[i] < tgt[i]]
-        # largest short index k such that prefix(cur) stays strictly above
-        # prefix(tgt) on [j, k-1]; guarantees cur still majorizes tgt after
-        # the move
-        pc, pt = _prefix_sums(cur), _prefix_sums(tgt)
-        k = shorts[0]
-        for cand in reversed(shorts):
-            if all(pc[i] > pt[i] for i in range(j, cand)):
-                k = cand
-                break
-        # move between run boundaries so the tuple stays descending
-        a = j
-        while a + 1 < len(cur) and cur[a + 1] == cur[j]:
-            a += 1
-        b = k
-        while b - 1 > a and cur[b - 1] == cur[k]:
-            b -= 1
-        step = MajorizationStep(a, b)
-        cur = list(apply_step(cur, step))
-        chain.append((Partition(tuple(cur)), step))
+    chain: list[Partition] = []
+    for _ in range(excess):
+        j = next(i for i, (c, g) in enumerate(zip(cur, x.parts)) if c > g)
+        prefixes = enumerate(zip(accumulate(cur), accumulate(x.parts)))
+        k = next(i for i, (c, g) in prefixes if i >= j and c == g)
+        a = j + cur[j:].count(cur[j]) - 1  # last copy of cur[j]
+        b = cur.index(cur[k])  # first copy of cur[k]
+        cur[a] -= 1
+        cur[b] += 1
+        chain.append(Partition(tuple(cur)))
     return chain
 
 

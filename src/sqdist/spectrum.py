@@ -248,10 +248,8 @@ def energy(p: Partition) -> EnergyReport:
     pairs = _size_counts(p.parts)
     if _lambda_sign(pairs) is not Sign.NEGATIVE:
         return EnergyReport(ip, None, None, float(ip))
-    # the root in (-1, 0) lies below the pole of the smallest size >= 2 (s >= 1)
-    lam = _isolate(_secular(pairs), Fraction(-1), Fraction(3 * pairs[1][0] - 4))
-    if not (Fraction(-1) < lam.lo_exact and lam.hi_exact < 0):
-        lam = lam.refined(40)
+    # a negative sign puts the lowest secular root in (-1, 0); neither end is a root
+    lam = _isolate(_secular(pairs), Fraction(-1), Fraction(0))
     theta = -lam.value
     return EnergyReport(ip, theta, lam, ip + 2 * theta)
 

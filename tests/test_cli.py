@@ -167,6 +167,18 @@ class TestExitCodes:
         assert err.startswith("error: nmax = 501")
         assert time.perf_counter() - start < 1.0
 
+    def test_verify_above_the_sweep_cap_is_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--nmax", "31")
+        assert code == 1 and out == ""
+        assert err.startswith("error: nmax = 31 > 30")
+        assert time.perf_counter() - start < 1.0
+
+    def test_parser_is_built_once(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        first = run(capsys, "inertia", "5,3,2,1")
+        assert first[0] == 0 and run(capsys, "inertia", "5,3,2,1") == first
+
     def test_usage_error_no_args(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.run([])

@@ -35,6 +35,12 @@ class TestOversized:
             sweep(MAX_ORDER + 1)
         assert time.perf_counter() - start < 1.0
 
+    def test_sweep_above_the_cap_is_refused_before_enumerating(self):
+        start = time.perf_counter()
+        with pytest.raises(InfeasibleParameters, match="nmax = 31 > 30"):
+            sweep(31)
+        assert time.perf_counter() - start < 1.0
+
 
 class TestRoundRobin:
     @pytest.mark.parametrize("n", range(1, 14))

@@ -15,10 +15,8 @@ from sqdist.errors import (
 )
 from sqdist.partitions import (
     MAX_CHAIN_STEPS,
-    MajorizationStep,
     Partition,
     Verdict,
-    apply_step,
     canonicalize,
     complete_split,
     elementary_chain,
@@ -143,7 +141,7 @@ class TestMajorizes:
 class TestElementaryChain:
     def test_small_chain(self):
         chain = elementary_chain(Partition((4, 1, 1)), Partition((2, 2, 2)))
-        assert [c.parts for c, _ in chain] == [(3, 2, 1), (2, 2, 2)]
+        assert [c.parts for c in chain] == [(3, 2, 1), (2, 2, 2)]
 
     def test_identical_rejected(self):
         with pytest.raises(Identical):
@@ -164,15 +162,17 @@ class TestElementaryChain:
     def _check_chain(self, y, x):
         chain = elementary_chain(y, x)
         prev = y
-        for cur, step in chain:
-            # each link is one elementary move, stays descending, and keeps
-            # strict majorization over both the next member and the target
-            assert apply_step(prev.parts, step) == cur.parts
+        for cur in chain:
+            # each link is one elementary move (-1 at a, +1 at b > a), stays
+            # descending, and keeps strict majorization over both the next
+            # member and the target
+            diff = [c - p for c, p in zip(cur.parts, prev.parts)]
+            assert [d for d in diff if d] == [-1, 1]
             assert all(a >= b for a, b in zip(cur.parts, cur.parts[1:]))
             assert majorizes(prev, cur) is Verdict.STRICT
             assert majorizes(cur, x) in (Verdict.STRICT, Verdict.EQUAL)
             prev = cur
-        assert chain[-1][0] == x
+        assert chain[-1] == x
 
     def test_paper_style_long_chain(self):
         y = Partition((10,) + (2,) * 7 + (1,) * 7)
@@ -187,6 +187,16 @@ class TestElementaryChain:
                     for x in members:
                         if majorizes(y, x) is Verdict.STRICT:
                             self._check_chain(y, x)
+
+    def test_length_is_the_surplus(self):
+        for n in range(3, 13):
+            for t in range(2, n + 1):
+                members = list(enumerate_partitions(n, t))
+                for y in members:
+                    for x in members:
+                        if majorizes(y, x) is Verdict.STRICT:
+                            surplus = sum(max(0, a - b) for a, b in zip(y.parts, x.parts))
+                            assert len(elementary_chain(y, x)) == surplus
 
     @given(partitions_st, st.lists(st.integers(0, 1000), max_size=8))
     @settings(max_examples=200)
@@ -277,14 +287,3 @@ class TestEnumeration:
     def test_class_small(self):
         got = sorted(p.parts for p in enumerate_class(7, 3, 1))
         assert got == [(3, 3, 1), (4, 2, 1)]
-
-
-class TestStep:
-    def test_guard(self):
-        with pytest.raises(ValueError):
-            MajorizationStep(2, 2)
-        with pytest.raises(ValueError):
-            MajorizationStep(3, 1)
-
-    def test_apply(self):
-        assert apply_step((4, 1, 1), MajorizationStep(0, 1)) == (3, 2, 1)
