@@ -7,11 +7,8 @@ from .charpoly import (
     IntPolynomial,
     Sign,
     char_poly_factored,
-    det_B_charpoly,
     det_delta_exact,
     lambda_s1_sign,
-    reduced_matrix_B,
-    reduced_poly_p,
 )
 from .errors import SqDistError
 from .matrices import (
@@ -43,7 +40,6 @@ from .spectrum import (
     energy,
     full_spectrum,
     inertia,
-    radius_bipartite_closed,
     secular_roots,
     spectral_radius_root,
 )

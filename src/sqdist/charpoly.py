@@ -11,10 +11,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .errors import InfeasibleParameters, NoSingletonParts, NotApplicable
+from .errors import InfeasibleParameters, NotApplicable
 from .partitions import Partition
 
 
@@ -34,18 +33,6 @@ class IntPolynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if not self.coeffs or not other.coeffs:
-            return IntPolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial.make(out)
 
     def __call__(self, x):
         """Horner evaluation; exact for int/Fraction arguments."""
@@ -111,11 +98,6 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def linear(c: int) -> IntPolynomial:
-    """The factor x + c."""
-    return IntPolynomial((c, 1))
-
-
 @dataclass(frozen=True)
 class FactoredCharPoly:
     """Characteristic polynomial of the squared distance matrix, factored.
@@ -127,10 +109,6 @@ class FactoredCharPoly:
 
     linear_factors: tuple[tuple[int, int], ...]
     residual: IntPolynomial
-    n: int
-
-    def expand(self) -> IntPolynomial:
-        return _times_powers(self.residual, self.linear_factors)
 
     def to_json(self) -> dict:
         return {
@@ -139,15 +117,6 @@ class FactoredCharPoly:
             ],
             "residual": self.residual.to_json(),
         }
-
-
-def reduced_matrix_B(p: Partition) -> list[list[int]]:
-    """The t x t reduction: diagonal 4(ni - 1), row i off-diagonal ni."""
-    t = p.t
-    return [
-        [4 * (p.parts[i] - 1) if i == j else p.parts[i] for j in range(t)]
-        for i in range(t)
-    ]
 
 
 def _size_counts(sizes: Sequence[int]) -> list[tuple[int, int]]:
@@ -161,15 +130,6 @@ def _size_counts(sizes: Sequence[int]) -> list[tuple[int, int]]:
 def _times_linear(cs: list[int], c: int) -> list[int]:
     """Ascending coefficients of (x + c) * poly(cs)."""
     return [c * a + b for a, b in zip(cs + [0], [0] + cs)]
-
-
-def _times_powers(poly: IntPolynomial, factors: Sequence[tuple[int, int]]) -> IntPolynomial:
-    """poly * prod (x + c)^e over the (c, e) factors."""
-    cs = list(poly.coeffs)
-    for c, e in factors:
-        for _ in range(e):
-            cs = _times_linear(cs, c)
-    return IntPolynomial(tuple(cs))
 
 
 def _secular(pairs: Sequence[tuple[int, int]]) -> IntPolynomial:
@@ -194,7 +154,11 @@ def _secular(pairs: Sequence[tuple[int, int]]) -> IntPolynomial:
 
 def _with_repeats(poly: IntPolynomial, pairs: Sequence[tuple[int, int]]) -> IntPolynomial:
     """poly * prod (x + 4 - 3m)^(k-1): the poles a deflated form dropped."""
-    return _times_powers(poly, [(4 - 3 * m, k - 1) for m, k in pairs])
+    cs = list(poly.coeffs)
+    for m, k in pairs:
+        for _ in range(k - 1):
+            cs = _times_linear(cs, 4 - 3 * m)
+    return IntPolynomial(tuple(cs))
 
 
 def _gap(pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
@@ -210,31 +174,12 @@ def _gap(pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
     return num, den
 
 
-def det_B_charpoly(p: Partition) -> IntPolynomial:
-    """Monic degree-t characteristic polynomial of the reduced matrix.
-
-    det(xI - B) = prod(x+4-3ni) - sum_i ni * prod_{j!=i}(x+4-3nj), built
-    from the grouped secular function over all parts.
-    """
-    pairs = _size_counts(p.parts)
-    return _with_repeats(_secular(pairs), pairs)
-
-
-def reduced_poly_p(p: Partition) -> IntPolynomial:
-    """Monic degree-(s+1) residual when at least one part is a singleton."""
-    if p.h == 0:
-        raise NoSingletonParts(
-            "no singleton parts; use det_B_charpoly for the residual"
-        )
-    return char_poly_factored(p).residual
-
-
 def char_poly_factored(p: Partition) -> FactoredCharPoly:
     """(x+4)^(n-t) * (x+1)^(h-1) * residual."""
     pairs = _size_counts(p.parts)
     factors = tuple((c, e) for c, e in ((4, p.n - p.t), (1, p.h - 1)) if e > 0)
     residual = _with_repeats(_secular(pairs), [(m, k) for m, k in pairs if m > 1])
-    return FactoredCharPoly(linear_factors=factors, residual=residual, n=p.n)
+    return FactoredCharPoly(linear_factors=factors, residual=residual)
 
 
 def det_delta_exact(p: Partition) -> int:
@@ -280,9 +225,3 @@ def lambda_s1_sign(p: Partition) -> Sign:
     if p.h == 0 or p.s == 0:
         raise NotApplicable("sign criterion needs h >= 1 and s >= 1")
     return _lambda_sign(_size_counts(p.parts))
-
-
-def criterion_gap(p: Partition) -> Fraction:
-    """(h-1) - sum ni/(3ni-4) as an exact rational (diagnostic)."""
-    num, den = _gap(_size_counts(p.parts))
-    return Fraction(num, -den)

@@ -41,10 +41,6 @@ class DisconnectedGraph(SqDistError):
     pass
 
 
-class NoSingletonParts(SqDistError):
-    pass
-
-
 class NotApplicable(SqDistError):
     pass
 

@@ -15,15 +15,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .charpoly import Sign, lambda_s1_sign
-from .errors import InfeasibleParameters, NotMajorized
+from .errors import InfeasibleParameters
 from .partitions import (
     Partition,
-    Verdict,
     complete_split,
+    count_partitions,
     elementary_chain,
     enumerate_class,
     enumerate_partitions,
-    majorizes,
     split_h,
     turan,
     turan_h,
@@ -36,6 +35,9 @@ from .spectrum import (
     inertia,
     spectral_radius_root,
 )
+
+# Most members a scan ranks: 10^5 partitions take about 15 s.
+MAX_SCAN_MEMBERS = 10**5
 
 
 def _compare_roots(a: IsolatedRoot, b: IsolatedRoot) -> int:
@@ -77,10 +79,6 @@ def compare_energy(a: EnergyReport, b: EnergyReport) -> int:
         return 1
     # theta = -lambda, so larger energy means smaller lambda
     return -_compare_roots(a.theta_root, b.theta_root)
-
-
-def compare_radius(p: Partition, q: Partition) -> int:
-    return _compare_roots(spectral_radius_root(p), spectral_radius_root(q))
 
 
 @dataclass
@@ -155,12 +153,21 @@ def _extrema(members, cmp):
     return argmax, argmin
 
 
-def _scan(quantity, n, t, h, members, evaluate, compare) -> ScanReport:
+def _scan(quantity, n, t, h, evaluate, compare) -> ScanReport:
     """Evaluate each member once and rank the results exactly.
 
-    compare orders two results of evaluate (-1/0/+1); each result's .value
-    is the float the report lists.  The caller appends its claim checks.
+    The members are the partitions of n into t parts, or M(n,t,h) when h is
+    given: one per partition of n - t into s = t - h parts (the parts >= 2,
+    less 1 each).  Over MAX_SCAN_MEMBERS of them are refused before any is
+    built.  compare orders two results of evaluate (-1/0/+1); each result's
+    .value is the float the report lists.  The caller checks the claims.
     """
+    m, k = (n, t) if h is None else (n - t, t - h)
+    if count_partitions(m, k, MAX_SCAN_MEMBERS) > MAX_SCAN_MEMBERS:
+        raise InfeasibleParameters(
+            f"n = {n}, t = {t}: more than {MAX_SCAN_MEMBERS} partitions to scan"
+        )
+    members = list(enumerate_partitions(n, t) if h is None else enumerate_class(n, t, h))
     results = {p: evaluate(p) for p in members}
     argmax, argmin = _extrema(members, lambda a, b: compare(results[a], results[b]))
     return ScanReport(
@@ -180,8 +187,7 @@ def scan_energy(n: int, t: int) -> ScanReport:
     Turan minimality is unique exactly when n <= 2t+1; above that ties are
     guaranteed (several partitions with all parts >= 2 share 8(n-t)).
     """
-    members = list(enumerate_partitions(n, t))
-    report = _scan("energy", n, t, None, members, energy, compare_energy)
+    report = _scan("energy", n, t, None, energy, compare_energy)
     s_nt, t_nt = complete_split(n, t), turan(n, t)
     violated = report.violated_claims
     if s_nt not in report.argmax:
@@ -207,9 +213,8 @@ def scan_energy_h(n: int, t: int, h: int) -> ScanReport:
     """
     if h < 1:
         raise InfeasibleParameters(f"need h >= 1 singleton parts, got h={h}")
-    members = list(enumerate_class(n, t, h))
-    report = _scan("energy", n, t, h, members, energy, compare_energy)
-    report.signs = {p: lambda_s1_sign(p).value for p in members}
+    report = _scan("energy", n, t, h, energy, compare_energy)
+    report.signs = {p: lambda_s1_sign(p).value for p, _ in report.values}
     s_nth, t_nth = split_h(n, t, h), turan_h(n, t, h)
     violated = report.violated_claims
     if s_nth not in report.argmax:
@@ -226,8 +231,7 @@ def scan_energy_h(n: int, t: int, h: int) -> ScanReport:
 
 def scan_radius(n: int, t: int) -> ScanReport:
     """Spectral radius over every partition; strict unique extrema."""
-    members = list(enumerate_partitions(n, t))
-    report = _scan("radius", n, t, None, members, spectral_radius_root, _compare_roots)
+    report = _scan("radius", n, t, None, spectral_radius_root, _compare_roots)
     s_nt, t_nt = complete_split(n, t), turan(n, t)
     if report.argmax != [s_nt]:
         report.violated_claims.append(f"radius max not uniquely at {s_nt}")
@@ -271,11 +275,10 @@ class ChainReport:
 def verify_chain_monotone(y: Partition, x: Partition) -> ChainReport:
     """Along an elementary chain y > ... > x, certify that the radius
     strictly decreases at every step and the energy never increases."""
-    if majorizes(y, x) is not Verdict.STRICT:
-        raise NotMajorized(f"{y} does not strictly majorize {x}")
+    chain = elementary_chain(y, x)
     prev_rho, prev_en = spectral_radius_root(y), energy(y)
     steps: list[ChainStepRecord] = []
-    for cur in elementary_chain(y, x):
+    for cur in chain:
         rho, en = spectral_radius_root(cur), energy(cur)
         steps.append(
             ChainStepRecord(
@@ -289,18 +292,3 @@ def verify_chain_monotone(y: Partition, x: Partition) -> ChainReport:
         prev_rho, prev_en = rho, en
     ok = all(s.radius_strictly_decreased and s.energy_nonincreasing for s in steps)
     return ChainReport(start=y, steps=steps, ok=ok)
-
-
-def elementary_neighbors(p: Partition) -> list[Partition]:
-    """All partitions one elementary step below p (unit moved p_a -> p_b
-    with p_a >= p_b + 2), deduplicated after canonical sorting."""
-    out = set()
-    parts = p.parts
-    for a in range(len(parts)):
-        for b in range(len(parts)):
-            if a != b and parts[a] >= parts[b] + 2:
-                moved = list(parts)
-                moved[a] -= 1
-                moved[b] += 1
-                out.add(Partition(tuple(moved)))
-    return sorted(out)

@@ -1,8 +1,10 @@
-"""Squared distance matrices: closed-form construction and the BFS oracle path.
+"""Squared distance matrices: the block fill and the oracle's BFS route.
 
-The closed form fills blocks directly (within-part entries 4, cross-part
-entries 1); the oracle path builds the multipartite graph explicitly and
-squares BFS shortest-path lengths, so the two can be cross-checked entrywise.
+The oracle's Δ follows the paper's definition: the explicit multipartite
+graph, held as its part sizes, gives the adjacency (an edge iff the part
+labels differ), and BFS shortest-path lengths are squared entrywise.  The
+block fill (within-part entries 4, cross-part entries 1) is the closed form
+of the same matrix, kept as a cross-check.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from ._kernels import bfs_distances
 from .errors import DisconnectedGraph, InfeasibleParameters
 from .partitions import Partition
 
-# Largest order built explicitly: the matrix holds n^2 floats and the graph
-# about n^2/2 edges in a Python set, so both stay within tens of megabytes.
+# Largest order built explicitly: the matrix holds n^2 floats and BFS a few
+# n x n boolean and integer arrays, so all stay within tens of megabytes.
 MAX_ORDER = 500
 
 
@@ -29,46 +31,27 @@ def _check_order(p: Partition) -> None:
 
 @dataclass
 class DenseSymMatrix:
-    """Symmetric float matrix with an exact integer entry accessor.
-
-    Entries of multipartite squared distance matrices are the integers
-    0, 1 and 4; they are stored as floats because the eigensolver consumes
-    floats, and recovered exactly through entry_int for the exact modules.
-    """
+    """Symmetric float matrix; multipartite entries are the integers 0, 1
+    and 4, stored as floats because the eigensolver consumes floats."""
 
     order: int
     data: np.ndarray = field(repr=False)
 
-    def entry(self, i: int, j: int) -> float:
-        return float(self.data[i, j])
-
-    def entry_int(self, i: int, j: int) -> int:
-        v = self.data[i, j]
-        iv = int(round(v))
-        if v != iv:
-            raise ValueError(f"entry ({i},{j}) = {v} is not an exact integer")
-        return iv
-
-    def int_rows(self) -> list[list[int]]:
-        return [[self.entry_int(i, j) for j in range(self.order)] for i in range(self.order)]
-
-    def to_csv(self) -> str:
-        return "\n".join(",".join(str(v) for v in row) for row in self.int_rows())
-
 
 @dataclass(frozen=True)
 class SimpleGraph:
-    """Undirected simple graph used only by the oracle path."""
+    """Complete multipartite graph held as its part sizes: vertices are
+    numbered part by part, and two are adjacent iff their parts differ."""
 
-    n: int
-    edges: frozenset[tuple[int, int]]
+    parts: tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        return sum(self.parts)
 
     def adjacency(self) -> np.ndarray:
-        adj = np.zeros((self.n, self.n), dtype=np.uint8)
-        for u, v in self.edges:
-            adj[u, v] = 1
-            adj[v, u] = 1
-        return adj
+        labels = np.repeat(np.arange(len(self.parts)), self.parts)
+        return labels[:, None] != labels[None, :]
 
 
 def sqdist_from_partition(p: Partition) -> DenseSymMatrix:
@@ -91,19 +74,13 @@ def sqdist_from_partition(p: Partition) -> DenseSymMatrix:
 def multipartite_graph(p: Partition) -> SimpleGraph:
     """Explicit K_{n1,...,nt}: edge iff endpoints lie in different parts.
 
-    Raises InfeasibleParameters above MAX_ORDER.
+    Raises InfeasibleParameters above MAX_ORDER, and DisconnectedGraph for
+    a single part of two or more vertices, which has no edges.
     """
     _check_order(p)
-    part_of = []
-    for idx, size in enumerate(p.parts):
-        part_of.extend([idx] * size)
-    edges = frozenset(
-        (u, v)
-        for u in range(p.n)
-        for v in range(u + 1, p.n)
-        if part_of[u] != part_of[v]
-    )
-    return SimpleGraph(n=p.n, edges=edges)
+    if p.t == 1 and p.n > 1:
+        raise DisconnectedGraph(f"a single part of {p.n} vertices has no edges")
+    return SimpleGraph(parts=p.parts)
 
 
 def sqdist_from_graph(g: SimpleGraph) -> DenseSymMatrix:

@@ -1,7 +1,8 @@
 """Independent ground truth: dense Jacobi eigensolver and verification sweeps.
 
-This module shares no closed-form code with charpoly/spectrum; eigenvalues
-come from plain cyclic Jacobi rotations on the explicitly built matrix.
+This module shares no closed-form code with charpoly/spectrum.  Δ is built
+by its definition, squared BFS distances on the explicit multipartite graph,
+and its eigenvalues come from plain cyclic Jacobi rotations.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from ._kernels import jacobi_eigensystem
 from .charpoly import det_delta_exact
 from .errors import InfeasibleParameters, NoConvergence
-from .matrices import DenseSymMatrix, sqdist_from_partition
+from .matrices import DenseSymMatrix, multipartite_graph, sqdist_from_graph
 from .partitions import Partition, enumerate_partitions
 from .spectrum import energy, full_spectrum, inertia
 
@@ -75,7 +76,7 @@ class VerificationRecord:
 
 def verify_partition(p: Partition, tol: float = DEFAULT_TOL) -> VerificationRecord:
     """Cross-check every closed-form invariant against the Jacobi oracle."""
-    delta = sqdist_from_partition(p)
+    delta = sqdist_from_graph(multipartite_graph(p))
     oracle = symmetric_eigenvalues(delta, tol)
     closed = full_spectrum(p).eigenvalues()
 

@@ -57,22 +57,8 @@ class Partition:
     def s(self) -> int:
         return self.t - self.h
 
-    @property
-    def big_parts(self) -> tuple[int, ...]:
-        """The s parts of size >= 2."""
-        return self.parts[: self.s]
-
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts)
-
-    def to_json(self) -> dict:
-        return {
-            "parts": list(self.parts),
-            "n": self.n,
-            "t": self.t,
-            "h": self.h,
-            "s": self.s,
-        }
 
 
 class Verdict(enum.Enum):
@@ -219,6 +205,28 @@ def enumerate_partitions(n: int, t: int) -> Iterator[Partition]:
 
     for tup in rec(n, t, n):
         yield Partition(tup)
+
+
+def count_partitions(n: int, t: int, cap: int) -> int:
+    """min(cap + 1, the number of partitions of n into exactly t parts).
+
+    Less 1 each, they are the partitions of m = n - t into parts of size at
+    most t (by conjugation).  ways[i] counts those of i into parts up to j;
+    ways[m] grows with j, so the loop stops once it passes cap, and a large
+    m passes it at once with its m // 2 + 1 partitions into two parts.
+    """
+    m = n - t
+    if m < 0 or t < 1:
+        return 0
+    if t >= 2 and m // 2 + 1 > cap:
+        return cap + 1
+    ways = [1] + [0] * m
+    for j in range(1, min(t, m) + 1):
+        for i in range(j, m + 1):
+            ways[i] += ways[i - j]
+        if ways[m] > cap:
+            break
+    return min(ways[m], cap + 1)
 
 
 def enumerate_class(n: int, t: int, h: int) -> Iterator[Partition]:

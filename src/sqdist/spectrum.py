@@ -120,12 +120,6 @@ class EnergyReport:
     theta_root: Optional[IsolatedRoot]  # the negative root itself
     value: float
 
-    @property
-    def theta_bracket(self) -> Optional[tuple[float, float]]:
-        if self.theta_root is None:
-            return None
-        return (-self.theta_root.hi, -self.theta_root.lo)
-
     def to_json(self) -> dict:
         return {
             "integer_part": str(self.integer_part),
@@ -262,10 +256,3 @@ def spectral_radius_root(p: Partition, width: Fraction = BRACKET_WIDTH) -> Isola
     """
     lower = Fraction(4 * (p.parts[0] - 1))
     return _isolate(deflated_residual(p), lower, Fraction(_upper_bound(p)), width)
-
-
-def radius_bipartite_closed(n1: int, n2: int) -> float:
-    """Closed-form Perron value for the bipartite case."""
-    if n1 < 1 or n2 < 1:
-        raise ValueError("part sizes must be >= 1")
-    return 2 * (n1 + n2) + math.sqrt(4 * (n1 - n2) ** 2 + n1 * n2) - 4

@@ -4,13 +4,18 @@ Nothing here imports the closed-form charpoly/spectrum code paths under
 test: determinants come from fraction-free Bareiss elimination, the
 characteristic polynomial from Bareiss evaluations plus exact Lagrange
 interpolation, and partition enumeration from a dumb brute-force recursion.
+The paper's own formulas that the package does not need (the reduced t x t
+matrix B, the bipartite Perron value, the rational sign gap) live here too.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 from itertools import combinations
+
+from sqdist.partitions import Partition
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -146,17 +151,64 @@ def all_partitions_upto(n_max: int):
                 yield n, t, parts
 
 
-def undirected(pairs) -> set[tuple[int, int]]:
-    return {(min(u, v), max(u, v)) for u, v in pairs}
-
-
 def complete_multipartite_edges(parts: tuple[int, ...]) -> set[tuple[int, int]]:
     """Edge set oracle built straight from the definition."""
-    labels = []
-    for idx, size in enumerate(parts):
-        labels.extend([idx] * size)
-    return undirected(
-        (u, v)
-        for u, v in combinations(range(len(labels)), 2)
-        if labels[u] != labels[v]
+    labels = [idx for idx, size in enumerate(parts) for _ in range(size)]
+    return {(u, v) for u, v in combinations(range(len(labels)), 2) if labels[u] != labels[v]}
+
+
+def poly_mul(a, b) -> tuple[int, ...]:
+    """Product of two ascending coefficient sequences, trailing zeros dropped."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def expand(residual, linear_factors) -> tuple[int, ...]:
+    """Ascending coefficients of residual * prod (x + c)^mult over the
+    (c, mult) factors: a factored characteristic polynomial multiplied out."""
+    out = tuple(residual)
+    for c, mult in linear_factors:
+        for _ in range(mult):
+            out = poly_mul(out, (c, 1))
+    return out
+
+
+def reduced_matrix_B(parts: tuple[int, ...]) -> list[list[int]]:
+    """The t x t reduction of Delta: diagonal 4(ni - 1), row i off-diagonal ni."""
+    t = len(parts)
+    return [[4 * (parts[i] - 1) if i == j else parts[i] for j in range(t)] for i in range(t)]
+
+
+def criterion_gap(parts: tuple[int, ...]) -> Fraction:
+    """(h-1) - sum ni/(3ni-4) over the parts >= 2, as an exact rational."""
+    h = parts.count(1)
+    return Fraction(h - 1) - sum(
+        (Fraction(ni, 3 * ni - 4) for ni in parts if ni > 1), Fraction(0)
     )
+
+
+def radius_bipartite_closed(n1: int, n2: int) -> float:
+    """The paper's closed-form Perron value of K_{n1,n2}."""
+    if n1 < 1 or n2 < 1:
+        raise ValueError("part sizes must be >= 1")
+    return 2 * (n1 + n2) + math.sqrt(4 * (n1 - n2) ** 2 + n1 * n2) - 4
+
+
+def elementary_neighbors(p: Partition) -> list[Partition]:
+    """All partitions one elementary step below p (unit moved p_a -> p_b
+    with p_a >= p_b + 2), deduplicated after canonical sorting."""
+    out = set()
+    parts = p.parts
+    for a in range(len(parts)):
+        for b in range(len(parts)):
+            if a != b and parts[a] >= parts[b] + 2:
+                moved = list(parts)
+                moved[a] -= 1
+                moved[b] += 1
+                out.add(Partition(tuple(moved)))
+    return sorted(out)

@@ -6,11 +6,11 @@ prints one [PASS]/[FAIL] line per criterion at the end of the run.
 
 from fractions import Fraction
 
+from conftest import elementary_neighbors, expand, radius_bipartite_closed
 from sqdist.charpoly import Sign, char_poly_factored, det_delta_exact, lambda_s1_sign
 from sqdist.extremal import (
+    _compare_roots,
     compare_energy,
-    compare_radius,
-    elementary_neighbors,
     scan_energy,
     scan_energy_h,
     scan_radius,
@@ -28,7 +28,6 @@ from sqdist.spectrum import (
     energy,
     full_spectrum,
     inertia,
-    radius_bipartite_closed,
     spectral_radius_root,
 )
 
@@ -37,6 +36,10 @@ def _all_partitions(n_max):
     for n in range(2, n_max + 1):
         for t in range(2, n + 1):
             yield from enumerate_partitions(n, t)
+
+
+def compare_radius(p, q):
+    return _compare_roots(spectral_radius_root(p), spectral_radius_root(q))
 
 
 # criterion number and description per test, keyed by test function name;
@@ -179,7 +182,7 @@ def test_criterion_07_energy_bounds():
         base = 8 * (p.n - p.t) + 2 * (p.h - 1)
         assert base <= rep.value < base + 2
         if rep.theta is not None:
-            lo, hi = rep.theta_bracket
+            lo, hi = -rep.theta_root.hi, -rep.theta_root.lo
             assert 0 < lo <= rep.theta <= hi < 1
 
 
@@ -235,7 +238,8 @@ def test_criterion_11_determinant():
             assert abs(prod) <= 1e-6 * scale, p
         else:
             assert abs(prod - det) <= 1e-6 * abs(det), p
-        assert det == (-1) ** p.n * char_poly_factored(p).expand()(0)
+        f = char_poly_factored(p)
+        assert det == (-1) ** p.n * expand(f.residual.coeffs, f.linear_factors)[0]
 
 
 @_report(12, "certified sign-change brackets, pairwise disjoint, n <= 14")

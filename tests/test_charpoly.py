@@ -6,20 +6,23 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import all_partitions_upto, bareiss_det, charpoly_via_bareiss
+from conftest import (
+    all_partitions_upto,
+    bareiss_det,
+    charpoly_via_bareiss,
+    criterion_gap,
+    expand,
+    poly_mul,
+    reduced_matrix_B,
+)
 from sqdist.charpoly import (
     IntPolynomial,
     Sign,
     char_poly_factored,
-    criterion_gap,
-    det_B_charpoly,
     det_delta_exact,
     lambda_s1_sign,
-    linear,
-    reduced_matrix_B,
-    reduced_poly_p,
 )
-from sqdist.errors import InfeasibleParameters, NoSingletonParts, NotApplicable
+from sqdist.errors import InfeasibleParameters, NotApplicable
 from sqdist.matrices import sqdist_from_partition
 from sqdist.partitions import Partition
 from sqdist.spectrum import deflated_residual
@@ -36,27 +39,33 @@ def _divides(d: IntPolynomial, p: IntPolynomial) -> bool:
     return not any(r)
 
 
+def det_B_charpoly(p: Partition) -> tuple[int, ...]:
+    """det(xI - B): the factored residual times the (x + 1)^(h - 1) factor."""
+    f = char_poly_factored(p)
+    return expand(f.residual.coeffs, [(1, p.h - 1)] if p.h > 1 else [])
+
+
 class TestIntPolynomial:
     def test_arithmetic(self):
-        p = linear(-2) * linear(-6)  # (x-2)(x-6)
-        assert p.coeffs == (12, -8, 1)
-        assert (IntPolynomial((3,)) * p).coeffs == (36, -24, 3)
-        assert (IntPolynomial(()) * p).coeffs == ()
+        p = poly_mul((-2, 1), (-6, 1))  # (x-2)(x-6)
+        assert p == (12, -8, 1)
+        assert poly_mul((3,), p) == (36, -24, 3)
+        assert poly_mul((), p) == ()
 
     def test_trailing_zeros_normalized(self):
         assert IntPolynomial.make([1, 2, 0, 0]).coeffs == (1, 2)
         assert IntPolynomial.make([0, 0]).coeffs == ()
 
     def test_exact_evaluation(self):
-        p = linear(-2) * linear(-6)
+        p = IntPolynomial(poly_mul((-2, 1), (-6, 1)))
         assert p(2) == 0 and p(6) == 0
         assert p(Fraction(1, 2)) == Fraction(33, 4)
 
     def test_json(self):
-        assert linear(4).to_json() == {"coeffs": ["4", "1"], "ascending": True}
+        assert IntPolynomial((4, 1)).to_json() == {"coeffs": ["4", "1"], "ascending": True}
 
     def test_sign_at_examples(self):
-        p = IntPolynomial((-1, 3)) * linear(2)  # (3x - 1)(x + 2)
+        p = IntPolynomial(poly_mul((-1, 3), (2, 1)))  # (3x - 1)(x + 2)
         assert p.sign_at(1, 3) == 0 and p.sign_at(2, 6) == 0  # reduced or not
         assert p.sign_at(-2, 1) == 0
         assert p.sign_at(1, 2) == 1 and p.sign_at(0, 7) == -1
@@ -80,15 +89,17 @@ class TestIntPolynomial:
     )
     def test_sign_at_exact_root(self, coeffs, num, den):
         # den*x - num vanishes at num/den whether or not the fraction is reduced
-        poly = IntPolynomial((-num, den)) * IntPolynomial.make(coeffs)
+        poly = IntPolynomial(poly_mul((-num, den), IntPolynomial.make(coeffs).coeffs))
         assert poly.sign_at(num, den) == 0
 
     def test_gcd_examples(self):
-        a = linear(-32) * IntPolynomial((-3, 1))  # x^2 - 35x + 96
-        b = linear(-32) * IntPolynomial((-12, 1))  # x^2 - 44x + 384
+        a = IntPolynomial(poly_mul((-32, 1), (-3, 1)))  # x^2 - 35x + 96
+        b = IntPolynomial(poly_mul((-32, 1), (-12, 1)))  # x^2 - 44x + 384
         assert a.gcd(b).coeffs == (-32, 1)
-        assert (IntPolynomial((6,)) * a).gcd(IntPolynomial((-4,)) * b).coeffs == (-32, 1)
-        assert a.gcd(linear(5)).coeffs == (1,)
+        six_a = IntPolynomial(poly_mul((6,), a.coeffs))
+        minus_four_b = IntPolynomial(poly_mul((-4,), b.coeffs))
+        assert six_a.gcd(minus_four_b).coeffs == (-32, 1)
+        assert a.gcd(IntPolynomial((5, 1))).coeffs == (1,)
         assert a.gcd(a).coeffs == a.coeffs
         assert a.gcd(IntPolynomial(())).coeffs == a.coeffs
         assert IntPolynomial(()).gcd(IntPolynomial((-6, -4))).coeffs == (3, 2)
@@ -103,7 +114,7 @@ class TestIntPolynomial:
     def test_gcd_of_common_multiples(self, a, b, c):
         a, b, c = IntPolynomial.make(a), IntPolynomial.make(b), IntPolynomial.make(c)
         assume(a.degree >= 0 and b.degree >= 0 and c.degree >= 1)
-        pa, pb = a * c, b * c
+        pa, pb = (IntPolynomial(poly_mul(q.coeffs, c.coeffs)) for q in (a, b))
         g = pa.gcd(pb)
         assert g.coeffs[-1] > 0
         assert _divides(c, g)
@@ -112,13 +123,13 @@ class TestIntPolynomial:
 
 class TestReducedMatrix:
     def test_2_2(self):
-        assert reduced_matrix_B(Partition((2, 2))) == [[4, 2], [2, 4]]
+        assert reduced_matrix_B((2, 2)) == [[4, 2], [2, 4]]
 
     def test_3_2(self):
-        assert reduced_matrix_B(Partition((3, 2))) == [[8, 3], [2, 4]]
+        assert reduced_matrix_B((3, 2)) == [[8, 3], [2, 4]]
 
     def test_2_1_1(self):
-        assert reduced_matrix_B(Partition((2, 1, 1))) == [
+        assert reduced_matrix_B((2, 1, 1)) == [
             [4, 2, 2],
             [1, 0, 1],
             [1, 1, 0],
@@ -128,34 +139,32 @@ class TestReducedMatrix:
         # det(xI - B) from the closed form vs Bareiss interpolation on B
         for _, _, parts in all_partitions_upto(9):
             p = Partition(parts)
-            assert list(det_B_charpoly(p).coeffs) == charpoly_via_bareiss(
-                reduced_matrix_B(p)
-            )
+            assert list(det_B_charpoly(p)) == charpoly_via_bareiss(reduced_matrix_B(parts))
 
 
 class TestDetBCharpoly:
     def test_2_2(self):
-        assert det_B_charpoly(Partition((2, 2))).coeffs == (12, -8, 1)
+        assert det_B_charpoly(Partition((2, 2))) == (12, -8, 1)
 
     def test_3_2(self):
-        assert det_B_charpoly(Partition((3, 2))).coeffs == (26, -12, 1)
+        assert det_B_charpoly(Partition((3, 2))) == (26, -12, 1)
 
     def test_1_1(self):
         # (x+1)^2 - 2(x+1) = (x+1)(x-1)
-        assert det_B_charpoly(Partition((1, 1))).coeffs == (-1, 0, 1)
+        assert det_B_charpoly(Partition((1, 1))) == (-1, 0, 1)
 
     def test_monic_degree_t(self):
         for _, _, parts in all_partitions_upto(10):
             p = Partition(parts)
             q = det_B_charpoly(p)
-            assert q.is_monic() and q.degree == p.t
+            assert q[-1] == 1 and len(q) - 1 == p.t
 
     def test_all_roots_positive_when_parts_ge_2(self):
         # reduced-matrix eigenvalues are positive without singleton parts
         for _, _, parts in all_partitions_upto(12):
             if min(parts) < 2:
                 continue
-            coeffs = det_B_charpoly(Partition(parts)).coeffs
+            coeffs = det_B_charpoly(Partition(parts))
             roots = np.roots(list(reversed(coeffs)))
             # np.roots scatters a multiplicity-k root into a cluster of
             # radius ~eps^(1/k); the true roots are all >= 2, so the
@@ -166,22 +175,18 @@ class TestDetBCharpoly:
 
 class TestReducedPolyP:
     def test_2_1_1(self):
-        assert reduced_poly_p(Partition((2, 1, 1))).coeffs == (0, -5, 1)
+        assert char_poly_factored(Partition((2, 1, 1))).residual.coeffs == (0, -5, 1)
 
     def test_complete_graph(self):
-        assert reduced_poly_p(Partition((1, 1, 1))).coeffs == (-2, 1)
-
-    def test_requires_singletons(self):
-        with pytest.raises(NoSingletonParts):
-            reduced_poly_p(Partition((2, 2)))
+        assert char_poly_factored(Partition((1, 1, 1))).residual.coeffs == (-2, 1)
 
     def test_monic_degree_s_plus_1(self):
         for _, _, parts in all_partitions_upto(10):
             p = Partition(parts)
             if p.h == 0 or p.s == 0:
                 continue
-            q = reduced_poly_p(p)
-            assert q.is_monic() and q.degree == p.s + 1
+            q = char_poly_factored(p).residual
+            assert q.coeffs[-1] == 1 and q.degree == p.s + 1
 
     def test_no_root_at_or_below_minus_one(self):
         # the residual keeps a constant sign on (-inf, -1]
@@ -189,7 +194,7 @@ class TestReducedPolyP:
             p = Partition(parts)
             if p.h == 0 or p.s == 0:
                 continue
-            q = reduced_poly_p(p)
+            q = char_poly_factored(p).residual
             ref = q(-1)
             assert ref != 0
             for x in range(-2, -30, -3):
@@ -224,10 +229,11 @@ class TestFactoredCharPoly:
         # full det(xI - Delta) via Bareiss interpolation, exact coefficients
         for _, _, parts in all_partitions_upto(9):
             p = Partition(parts)
-            expanded = char_poly_factored(p).expand()
-            rows = sqdist_from_partition(p).int_rows()
-            assert list(expanded.coeffs) == charpoly_via_bareiss(rows)
-            assert expanded.is_monic() and expanded.degree == p.n
+            f = char_poly_factored(p)
+            expanded = expand(f.residual.coeffs, f.linear_factors)
+            rows = sqdist_from_partition(p).data.astype(int).tolist()
+            assert list(expanded) == charpoly_via_bareiss(rows)
+            assert expanded[-1] == 1 and len(expanded) - 1 == p.n
 
 
 class TestDeterminant:
@@ -239,13 +245,14 @@ class TestDeterminant:
     def test_matches_bareiss(self):
         for _, _, parts in all_partitions_upto(10):
             p = Partition(parts)
-            rows = sqdist_from_partition(p).int_rows()
+            rows = sqdist_from_partition(p).data.astype(int).tolist()
             assert det_delta_exact(p) == bareiss_det(rows)
 
     def test_constant_term_identity(self):
         for _, _, parts in all_partitions_upto(10):
             p = Partition(parts)
-            c0 = char_poly_factored(p).expand()(0)
+            f = char_poly_factored(p)
+            c0 = expand(f.residual.coeffs, f.linear_factors)[0]
             assert det_delta_exact(p) == (-1) ** p.n * c0
 
     def test_huge_order_is_refused(self):
@@ -283,7 +290,7 @@ class TestSignCriterion:
             p = Partition(parts)
             if p.h == 0 or p.s == 0:
                 continue
-            gap = criterion_gap(p)
+            gap = criterion_gap(parts)
             expected = (
                 Sign.POSITIVE if gap > 0 else Sign.ZERO if gap == 0 else Sign.NEGATIVE
             )
@@ -291,14 +298,6 @@ class TestSignCriterion:
 
 
 # -- the nested-loop constructions the grouped core replaced -----------------
-def _ref_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def _ref_axpy(a, c, b):
     """a + c*b on ascending coefficient lists, trailing zeros stripped."""
     out = [0] * max(len(a), len(b))
@@ -313,17 +312,10 @@ def _ref_axpy(a, c, b):
 
 def _ref_det_poly(sizes, weights):
     """prod(x+4-3m_i) - sum_i w_i * prod_{j!=i}(x+4-3m_j), O(t^3)."""
-    factors = [[4 - 3 * m, 1] for m in sizes]
-    prod_all = [1]
-    for f in factors:
-        prod_all = _ref_mul(prod_all, f)
-    total = prod_all
+    factors = [(4 - 3 * m, 1) for m in sizes]
+    total = expand((1,), factors)
     for i, w in enumerate(weights):
-        partial = [1]
-        for j, f in enumerate(factors):
-            if j != i:
-                partial = _ref_mul(partial, f)
-        total = _ref_axpy(total, -w, partial)
+        total = _ref_axpy(total, -w, expand((1,), factors[:i] + factors[i + 1 :]))
     return total
 
 
@@ -331,10 +323,8 @@ def _ref_with_singletons(sizes, weights, h):
     """(x+1) * det_poly - h * prod(x+4-3m); x + 1 - h without sizes."""
     if not sizes:
         return [1 - h, 1]
-    prod_all = [1]
-    for m in sizes:
-        prod_all = _ref_mul(prod_all, [4 - 3 * m, 1])
-    return _ref_axpy(_ref_mul([1, 1], _ref_det_poly(sizes, weights)), -h, prod_all)
+    prod_all = expand((1,), [(4 - 3 * m, 1) for m in sizes])
+    return _ref_axpy(poly_mul([1, 1], _ref_det_poly(sizes, weights)), -h, prod_all)
 
 
 def ref_det_B_charpoly(p):
@@ -342,12 +332,13 @@ def ref_det_B_charpoly(p):
 
 
 def ref_reduced_poly_p(p):
-    return tuple(_ref_with_singletons(p.big_parts, p.big_parts, p.h))
+    big = p.parts[: p.s]
+    return tuple(_ref_with_singletons(big, big, p.h))
 
 
 def ref_deflated_residual(p):
     counts = {}
-    for m in p.big_parts:
+    for m in p.parts[: p.s]:
         counts[m] = counts.get(m, 0) + 1
     sizes = sorted(counts)
     weights = [counts[m] * m for m in sizes]
@@ -372,7 +363,7 @@ def ref_det_delta_exact(p):
 
 
 def ref_lambda_s1_sign(p):
-    big = p.big_parts
+    big = p.parts[: p.s]
     prod_all = 1
     for ni in big:
         prod_all *= 3 * ni - 4
@@ -389,12 +380,6 @@ def ref_lambda_s1_sign(p):
     if lhs == rhs:
         return Sign.ZERO
     return Sign.NEGATIVE
-
-
-def ref_criterion_gap(p):
-    return Fraction(p.h - 1) - sum(
-        (Fraction(ni, 3 * ni - 4) for ni in p.big_parts), Fraction(0)
-    )
 
 
 @st.composite
@@ -434,14 +419,13 @@ small_partitions_st = st.one_of(
 
 def _assert_core_matches_reference(p):
     det_b = ref_det_B_charpoly(p)
-    assert det_B_charpoly(p).coeffs == det_b
+    assert det_B_charpoly(p) == det_b
     assert deflated_residual(p).coeffs == ref_deflated_residual(p)
     residual = char_poly_factored(p).residual.coeffs
     if p.h == 0:
         assert residual == det_b
     else:
         assert residual == ref_reduced_poly_p(p)
-        assert reduced_poly_p(p).coeffs == residual
 
 
 class TestGroupedCore:
@@ -463,7 +447,6 @@ class TestGroupedCore:
         if p.h == 0 or p.s == 0:
             return
         assert lambda_s1_sign(p) is ref_lambda_s1_sign(p)
-        assert criterion_gap(p) == ref_criterion_gap(p)
 
     @pytest.mark.parametrize("h", [0, 3])
     def test_eighty_distinct_sizes(self, h):
@@ -478,6 +461,6 @@ class TestGroupedCore:
     def test_knife_edge(self, parts):
         p = Partition(parts)
         assert lambda_s1_sign(p) is Sign.ZERO is ref_lambda_s1_sign(p)
-        assert criterion_gap(p) == 0
+        assert criterion_gap(parts) == 0
         assert det_delta_exact(p) == ref_det_delta_exact(p) == 0
         _assert_core_matches_reference(p)

@@ -150,8 +150,17 @@ class TestExitCodes:
         assert code == 1
 
     def test_chain_identical_is_domain_error(self, capsys):
-        code, _, _ = run(capsys, "chain", "2,2", "2,2")
-        assert code == 1
+        code, out, err = run(capsys, "chain", "2,2", "2,2")
+        assert code == 1 and out == ""
+        assert err == "error: chain endpoints are equal after sorting\n"
+
+    def test_oversized_scan_is_refused_at_once(self, capsys):
+        # 190 569 292 partitions of 200 into 100 parts
+        start = time.perf_counter()
+        code, out, err = run(capsys, "scan-energy", "200", "100")
+        assert code == 1 and out == ""
+        assert err == "error: n = 200, t = 100: more than 100000 partitions to scan\n"
+        assert time.perf_counter() - start < 1.0
 
     def test_overlong_chain_is_refused_at_once(self, capsys):
         start = time.perf_counter()

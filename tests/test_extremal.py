@@ -8,22 +8,26 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import all_partitions_upto, elementary_neighbors
 from sqdist import extremal
-from sqdist.charpoly import IntPolynomial, linear
-from sqdist.errors import InfeasibleParameters, NotMajorized
+from sqdist.charpoly import IntPolynomial
+from sqdist.errors import Identical, InfeasibleParameters, NotMajorized
 from sqdist.extremal import (
+    MAX_SCAN_MEMBERS,
     ChainReport,
     _compare_roots,
     compare_energy,
-    compare_radius,
-    elementary_neighbors,
     scan_energy,
     scan_energy_h,
     scan_radius,
     verify_chain_monotone,
 )
-from sqdist.partitions import Partition
+from sqdist.partitions import Partition, count_partitions, enumerate_class
 from sqdist.spectrum import _isolate, energy, spectral_radius_root
+
+
+def compare_radius(p, q):
+    return _compare_roots(spectral_radius_root(p), spectral_radius_root(q))
 
 
 class TestComparators:
@@ -73,8 +77,8 @@ class TestComparators:
     def test_tie_with_a_collapsed_bracket(self):
         # [3, 3] against a bracket of 3 from another polynomial: the gcd
         # x - 3 vanishes at the overlap end
-        point = _isolate(linear(-3), Fraction(2), Fraction(4)).refined(1)
-        other = _isolate(linear(-3) * linear(-10), Fraction(2), Fraction(5))
+        point = _isolate(IntPolynomial((-3, 1)), Fraction(2), Fraction(4)).refined(1)
+        other = _isolate(IntPolynomial((30, -13, 1)), Fraction(2), Fraction(5))
         assert point.lo_exact == point.hi_exact == 3
         assert _compare_roots(point, other) == _compare_roots(other, point) == 0
         assert _compare_roots(point, point) == 0
@@ -85,10 +89,10 @@ class TestComparators:
         child = textwrap.dedent(
             """
             from fractions import Fraction
-            from sqdist.charpoly import linear
-            from sqdist.extremal import _compare_roots, compare_radius
+            from sqdist.charpoly import IntPolynomial
+            from sqdist.extremal import _compare_roots
             from sqdist.partitions import Partition
-            from sqdist.spectrum import _isolate
+            from sqdist.spectrum import _isolate, spectral_radius_root
 
             ties = [
                 ((8, 4, 4), (7, 7, 2)),
@@ -96,9 +100,10 @@ class TestComparators:
                 ((6, 6, 3, 3, 3, 3), (6, 5, 5, 4, 2, 2)),
             ]
             for p, q in ties:
-                print(compare_radius(Partition(p), Partition(q)), flush=True)
-            point = _isolate(linear(-3), Fraction(2), Fraction(4)).refined(1)
-            other = _isolate(linear(-3) * linear(-10), Fraction(2), Fraction(5))
+                a, b = (spectral_radius_root(Partition(x)) for x in (p, q))
+                print(_compare_roots(a, b), flush=True)
+            point = _isolate(IntPolynomial((-3, 1)), Fraction(2), Fraction(4)).refined(1)
+            other = _isolate(IntPolynomial((30, -13, 1)), Fraction(2), Fraction(5))
             print(_compare_roots(point, other), flush=True)
             """
         )
@@ -208,9 +213,13 @@ class TestChain:
 
     def test_not_majorized(self):
         with pytest.raises(NotMajorized):
-            verify_chain_monotone(Partition((2, 2)), Partition((2, 2)))
-        with pytest.raises(NotMajorized):
             verify_chain_monotone(Partition((2, 2, 2)), Partition((3, 2, 1)))
+
+    def test_equal_endpoints_are_refused_before_evaluating(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "spectral_radius_root")
+        with pytest.raises(Identical, match="equal after sorting"):
+            verify_chain_monotone(Partition((2, 2)), Partition((2, 2)))
+        assert not calls
 
     def test_json(self):
         js = verify_chain_monotone(Partition((3, 1)), Partition((2, 2))).to_json()
@@ -277,6 +286,19 @@ class TestSingleEvaluation:
         calls = _count_calls(monkeypatch, "energy")
         with pytest.raises(InfeasibleParameters, match="h >= 1"):
             scan_energy_h(6, 3, 0)
+        assert not calls
+
+
+class TestScanSizeGuard:
+    def test_class_is_counted_as_partitions_of_n_minus_t(self):
+        classes = {(n, t, p.count(1)) for n, t, p in all_partitions_upto(14) if t - p.count(1) >= 2}
+        for n, t, h in classes:
+            assert count_partitions(n - t, t - h, 10**9) == len(list(enumerate_class(n, t, h)))
+
+    def test_oversized_class_is_refused_before_evaluating(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "energy")
+        with pytest.raises(InfeasibleParameters, match=f"more than {MAX_SCAN_MEMBERS}"):
+            scan_energy_h(400, 15, 7)
         assert not calls
 
 

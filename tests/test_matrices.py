@@ -1,11 +1,16 @@
+from itertools import accumulate
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     all_partitions_upto,
     complete_multipartite_edges,
     triangle_distances,
 )
+from sqdist._kernels import bfs_distances
 from sqdist.errors import DisconnectedGraph, InfeasibleParameters
 from sqdist.matrices import (
     MAX_ORDER,
@@ -17,13 +22,19 @@ from sqdist.matrices import (
 from sqdist.partitions import Partition
 
 
+def _edges(g: SimpleGraph) -> set[tuple[int, int]]:
+    """The edge set read off the upper triangle of the adjacency."""
+    u, v = np.nonzero(np.triu(g.adjacency()))
+    return set(zip(u.tolist(), v.tolist()))
+
+
 class TestMaxOrder:
     def test_largest_allowed_order_builds(self):
         p = Partition((MAX_ORDER - 2, 1, 1))
         m = sqdist_from_partition(p)
-        assert m.order == MAX_ORDER and m.entry_int(0, MAX_ORDER - 1) == 1
+        assert m.order == MAX_ORDER and m.data[0, MAX_ORDER - 1] == 1.0
         g = multipartite_graph(p)
-        assert g.n == MAX_ORDER and len(g.edges) == 2 * (MAX_ORDER - 2) + 1
+        assert g.n == MAX_ORDER and g.adjacency().sum() == 2 * (2 * (MAX_ORDER - 2) + 1)
 
     @pytest.mark.parametrize("build", [sqdist_from_partition, multipartite_graph])
     def test_larger_orders_refused(self, build):
@@ -36,7 +47,7 @@ class TestMaxOrder:
 class TestClosedForm:
     def test_2_2(self):
         m = sqdist_from_partition(Partition((2, 2)))
-        assert m.int_rows() == [
+        assert m.data.tolist() == [
             [0, 4, 1, 1],
             [4, 0, 1, 1],
             [1, 1, 0, 4],
@@ -45,22 +56,16 @@ class TestClosedForm:
 
     def test_k2(self):
         m = sqdist_from_partition(Partition((1, 1)))
-        assert m.int_rows() == [[0, 1], [1, 0]]
+        assert m.data.tolist() == [[0, 1], [1, 0]]
 
     def test_2_1_1(self):
         m = sqdist_from_partition(Partition((2, 1, 1)))
-        assert m.int_rows() == [
+        assert m.data.tolist() == [
             [0, 4, 1, 1],
             [4, 0, 1, 1],
             [1, 1, 0, 1],
             [1, 1, 1, 0],
         ]
-
-    def test_entry_accessors(self):
-        m = sqdist_from_partition(Partition((2, 2)))
-        assert m.entry(0, 1) == 4.0
-        assert m.entry_int(0, 2) == 1
-        assert m.to_csv().splitlines()[0] == "0,4,1,1"
 
     def test_entry_values(self):
         for _, _, parts in all_partitions_upto(8):
@@ -75,47 +80,64 @@ class TestClosedForm:
 class TestGraphConstruction:
     def test_c4(self):
         g = multipartite_graph(Partition((2, 2)))
-        assert g.edges == frozenset({(0, 2), (0, 3), (1, 2), (1, 3)})
+        assert _edges(g) == {(0, 2), (0, 3), (1, 2), (1, 3)}
 
     def test_triangle(self):
         g = multipartite_graph(Partition((1, 1, 1)))
-        assert g.edges == frozenset({(0, 1), (0, 2), (1, 2)})
+        assert _edges(g) == {(0, 1), (0, 2), (1, 2)}
 
     def test_star(self):
         g = multipartite_graph(Partition((3, 1)))
-        assert g.edges == frozenset({(0, 3), (1, 3), (2, 3)})
+        assert _edges(g) == {(0, 3), (1, 3), (2, 3)}
 
     def test_edge_oracle(self):
         for _, _, parts in all_partitions_upto(8):
             g = multipartite_graph(Partition(parts))
-            assert set(g.edges) == complete_multipartite_edges(parts)
+            adj = g.adjacency()
+            assert (adj == adj.T).all()
+            assert _edges(g) == complete_multipartite_edges(parts)
+
+    def test_single_part_is_disconnected(self):
+        # the bare constructor allows t = 1; a part of 3 has no edges
+        with pytest.raises(DisconnectedGraph):
+            multipartite_graph(Partition((3,)))
+        with pytest.raises(DisconnectedGraph):
+            sqdist_from_graph(SimpleGraph(parts=(3,)))
 
 
 class TestBfsRoute:
     def test_path_p3(self):
-        g = SimpleGraph(n=3, edges=frozenset({(0, 1), (1, 2)}))
-        assert sqdist_from_graph(g).int_rows() == [
+        adj = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool)
+        assert (bfs_distances(adj) ** 2).tolist() == [
             [0, 1, 4],
             [1, 0, 1],
             [4, 1, 0],
         ]
 
     def test_disconnected(self):
-        g = SimpleGraph(n=3, edges=frozenset({(0, 1)}))
-        with pytest.raises(DisconnectedGraph):
-            sqdist_from_graph(g)
+        adj = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=bool)
+        dist = bfs_distances(adj)
+        assert dist[2].tolist() == [-1, -1, 0] and dist[:2, 2].tolist() == [-1, -1]
 
     def test_matches_closed_form(self):
-        # the two construction routes agree entrywise
-        for _, _, parts in all_partitions_upto(10):
+        # the BFS route and the block fill give bit-identical matrices
+        for _, _, parts in all_partitions_upto(12):
             p = Partition(parts)
             closed = sqdist_from_partition(p)
             via_bfs = sqdist_from_graph(multipartite_graph(p))
-            assert closed.int_rows() == via_bfs.int_rows()
+            assert via_bfs.data.dtype == closed.data.dtype
+            assert np.array_equal(via_bfs.data, closed.data)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.integers(1, 60), min_size=2, max_size=30))
+    def test_matches_closed_form_up_to_order_120(self, sizes):
+        # the longest prefix of at most 120 vertices; the first two always fit
+        p = Partition(tuple(m for m, n in zip(sizes, accumulate(sizes)) if n <= 120))
+        closed = sqdist_from_partition(p)
+        assert np.array_equal(sqdist_from_graph(multipartite_graph(p)).data, closed.data)
 
     def test_matches_floyd_warshall(self):
         g = multipartite_graph(Partition((3, 2, 1)))
-        fw = triangle_distances(set(g.edges), g.n)
-        sq = sqdist_from_graph(g).int_rows()
+        fw = triangle_distances(_edges(g), g.n)
+        sq = sqdist_from_graph(g).data.tolist()
         assert sq == [[d * d for d in row] for row in fw]
-

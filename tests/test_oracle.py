@@ -1,4 +1,5 @@
 import time
+from unittest.mock import Mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from sqdist import oracle
 from sqdist._kernels import round_robin
 from sqdist.errors import InfeasibleParameters, NoConvergence
-from sqdist.matrices import MAX_ORDER, DenseSymMatrix, sqdist_from_partition
+from sqdist.matrices import MAX_ORDER, DenseSymMatrix, sqdist_from_graph, sqdist_from_partition
 from sqdist.oracle import (
     symmetric_eigenvalues,
     sweep,
@@ -139,6 +140,12 @@ class TestVerifyPartition:
 
     def test_k2(self):
         assert verify_partition(Partition((1, 1))).passed
+
+    def test_delta_comes_from_bfs_on_the_explicit_graph(self, monkeypatch):
+        spy = Mock(wraps=sqdist_from_graph)
+        monkeypatch.setattr(oracle, "sqdist_from_graph", spy)
+        assert verify_partition(Partition((3, 2, 1, 1))).passed
+        assert [call.args[0].parts for call in spy.call_args_list] == [(3, 2, 1, 1)]
 
     def test_json_fields(self):
         js = verify_partition(Partition((2, 2))).to_json()

@@ -19,6 +19,7 @@ from sqdist.partitions import (
     Verdict,
     canonicalize,
     complete_split,
+    count_partitions,
     elementary_chain,
     enumerate_class,
     enumerate_partitions,
@@ -44,7 +45,6 @@ class TestCanonicalize:
     def test_complete_graph_k2(self):
         p = canonicalize([1, 1])
         assert (p.n, p.t, p.h, p.s) == (2, 2, 2, 0)
-        assert p.big_parts == ()
 
     def test_already_canonical(self):
         p = canonicalize([5, 2, 2, 2])
@@ -75,10 +75,6 @@ class TestCanonicalize:
         assert parse_partition("1,2,2").parts == (2, 2, 1)
         with pytest.raises(NonPositivePart):
             parse_partition("2,x")
-
-    def test_json_shape(self):
-        js = canonicalize([2, 2, 1]).to_json()
-        assert js == {"parts": [2, 2, 1], "n": 5, "t": 3, "h": 1, "s": 2}
 
 
 class TestMajorizes:
@@ -283,6 +279,18 @@ class TestEnumeration:
             for inner in brute_force_partitions(31 - 7 - 8, 8)
         }
         assert {p.parts for p in members} == expected
+
+    def test_count_matches_brute_force(self):
+        for n in range(1, 15):
+            for t in range(1, n + 3):
+                assert count_partitions(n, t, 10**9) == len(brute_force_partitions(n, t)), (n, t)
+
+    def test_count_stops_at_the_cap(self):
+        assert count_partitions(200, 100, 10**9) == 190_569_292  # p(100)
+        assert count_partitions(12, 3, 11) == 12 and count_partitions(12, 3, 10) == 11
+        for n, t in [(200, 100), (10**12, 2), (400_000, 200_000)]:
+            assert count_partitions(n, t, 10**5) == 10**5 + 1
+        assert count_partitions(10**12, 10**12 - 5, 10**5) == 7  # p(5)
 
     def test_class_small(self):
         got = sorted(p.parts for p in enumerate_class(7, 3, 1))

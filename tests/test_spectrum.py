@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import all_partitions_upto
-from sqdist.charpoly import IntPolynomial, Sign, lambda_s1_sign, linear
+from conftest import all_partitions_upto, poly_mul, radius_bipartite_closed
+from sqdist.charpoly import IntPolynomial, Sign, lambda_s1_sign
 from sqdist.errors import BracketFailure
 from sqdist.extremal import _compare_roots
 from sqdist.partitions import Partition, canonicalize
@@ -18,7 +18,6 @@ from sqdist.spectrum import (
     energy,
     full_spectrum,
     inertia,
-    radius_bipartite_closed,
     secular_roots,
     spectral_radius_root,
 )
@@ -64,7 +63,7 @@ def _fraction_bisect(poly, lo, hi, max_steps, width):
 
 def _initial_brackets(p):
     """Every starting bracket the spectrum module bisects for p (s >= 1)."""
-    poles = sorted({3 * m - 4 for m in p.big_parts})
+    poles = sorted({3 * m - 4 for m in p.parts[: p.s]})
     ends = ([-1] if p.h >= 1 else []) + poles + [3 * p.parts[0] + p.n - 4]
     brackets = list(zip(ends, ends[1:]))
     brackets.append((max(4 * (p.parts[0] - 1), 3 * p.parts[0] - 4), ends[-1]))
@@ -107,7 +106,7 @@ class TestBisect:
             )
 
     def test_exact_hits_and_non_dyadic_ends(self):
-        p = IntPolynomial((-1, 2)) * IntPolynomial((-7, 3))  # roots 1/2, 7/3
+        p = IntPolynomial(poly_mul((-1, 2), (-7, 3)))  # roots 1/2, 7/3
         cases = [
             (Fraction(0), Fraction(1)),  # first midpoint is the root
             (Fraction(1, 2), Fraction(1)),  # root at an endpoint
@@ -120,12 +119,12 @@ class TestBisect:
 
     def test_no_sign_change(self):
         with pytest.raises(BracketFailure):
-            _bisect(linear(-5), Fraction(0), Fraction(1), 60, BRACKET_WIDTH)
+            _bisect(IntPolynomial((-5, 1)), Fraction(0), Fraction(1), 60, BRACKET_WIDTH)
 
 
 class TestRefined:
     def test_exact_hit_collapses_to_a_fixed_point(self):
-        hit = _isolate(linear(-3), Fraction(2), Fraction(4))  # midpoint is the root
+        hit = _isolate(IntPolynomial((-3, 1)), Fraction(2), Fraction(4))  # midpoint is the root
         assert (hit.lo_exact, hit.hi_exact) == (3 - Fraction(1, 2**60), 3 + Fraction(1, 2**60))
         point = hit.refined(50)
         assert point.lo_exact == point.hi_exact == 3 and point.value == 3.0
@@ -169,7 +168,7 @@ class TestSecularRoots:
             p = Partition(parts)
             if p.s == 0:
                 continue
-            d = len(set(p.big_parts))
+            d = len(set(p.parts[: p.s]))
             expected = d if p.h == 0 else d + 1
             assert len(secular_roots(p)) == expected
 
@@ -185,7 +184,7 @@ class TestSecularRoots:
     def test_interlacing_with_poles(self):
         # gap roots sit strictly between consecutive poles 3m-4
         p = Partition((5, 4, 2, 1, 1))
-        poles = sorted({3 * m - 4 for m in p.big_parts})
+        poles = sorted({3 * m - 4 for m in p.parts[: p.s]})
         roots = [r.value for r in secular_roots(p)]
         assert -1 < roots[0] < poles[0]
         for lo, hi, r in zip(poles, poles[1:], roots[1:]):
@@ -296,7 +295,7 @@ class TestEnergy:
         assert rep.integer_part == 16
         assert rep.value == pytest.approx(10 + 2 * SQRT13, abs=1e-9)
         assert rep.theta == pytest.approx(SQRT13 - 3, abs=1e-9)
-        lo, hi = rep.theta_bracket
+        lo, hi = -rep.theta_root.hi, -rep.theta_root.lo
         assert 0 < lo <= rep.theta <= hi < 1
 
     def test_3_1(self):
