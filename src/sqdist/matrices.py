@@ -74,12 +74,9 @@ def sqdist_from_partition(p: Partition) -> DenseSymMatrix:
 def multipartite_graph(p: Partition) -> SimpleGraph:
     """Explicit K_{n1,...,nt}: edge iff endpoints lie in different parts.
 
-    Raises InfeasibleParameters above MAX_ORDER, and DisconnectedGraph for
-    a single part of two or more vertices, which has no edges.
+    Raises InfeasibleParameters above MAX_ORDER.
     """
     _check_order(p)
-    if p.t == 1 and p.n > 1:
-        raise DisconnectedGraph(f"a single part of {p.n} vertices has no edges")
     return SimpleGraph(parts=p.parts)
 
 

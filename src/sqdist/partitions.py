@@ -218,7 +218,9 @@ def count_partitions(n: int, t: int, cap: int) -> int:
     m = n - t
     if m < 0 or t < 1:
         return 0
-    if t >= 2 and m // 2 + 1 > cap:
+    if t == 1:
+        return 1
+    if m // 2 + 1 > cap:
         return cap + 1
     ways = [1] + [0] * m
     for j in range(1, min(t, m) + 1):

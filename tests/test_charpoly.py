@@ -96,8 +96,7 @@ class TestIntPolynomial:
         a = IntPolynomial(poly_mul((-32, 1), (-3, 1)))  # x^2 - 35x + 96
         b = IntPolynomial(poly_mul((-32, 1), (-12, 1)))  # x^2 - 44x + 384
         assert a.gcd(b).coeffs == (-32, 1)
-        six_a = IntPolynomial(poly_mul((6,), a.coeffs))
-        minus_four_b = IntPolynomial(poly_mul((-4,), b.coeffs))
+        six_a, minus_four_b = IntPolynomial((576, -210, 6)), IntPolynomial((-1536, 176, -4))
         assert six_a.gcd(minus_four_b).coeffs == (-32, 1)
         assert a.gcd(IntPolynomial((5, 1))).coeffs == (1,)
         assert a.gcd(a).coeffs == a.coeffs

@@ -154,12 +154,24 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == "error: chain endpoints are equal after sorting\n"
 
-    def test_oversized_scan_is_refused_at_once(self, capsys):
-        # 190 569 292 partitions of 200 into 100 parts
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # 190 569 292 partitions of 200 into 100 parts
+            ("scan-energy 200 100", "n = 200, t = 100: more than 100000 partitions to scan"),
+            # the parameters are checked before the members are counted
+            ("scan-energy 10000000000 1", "need n >= t >= 2, got n=10000000000, t=1"),
+            (
+                "scan-h 10000000000 5 --h 4",
+                "need t >= 2, s = t-h >= 2 and n-h >= 2s, got n=10000000000, t=5, h=4",
+            ),
+        ],
+    )
+    def test_oversized_scan_is_refused_at_once(self, capsys, argv, message):
         start = time.perf_counter()
-        code, out, err = run(capsys, "scan-energy", "200", "100")
+        code, out, err = run(capsys, *argv.split())
         assert code == 1 and out == ""
-        assert err == "error: n = 200, t = 100: more than 100000 partitions to scan\n"
+        assert err == f"error: {message}\n"
         assert time.perf_counter() - start < 1.0
 
     def test_overlong_chain_is_refused_at_once(self, capsys):

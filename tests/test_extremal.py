@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import all_partitions_upto, elementary_neighbors
+from conftest import elementary_neighbors
 from sqdist import extremal
 from sqdist.charpoly import IntPolynomial
 from sqdist.errors import Identical, InfeasibleParameters, NotMajorized
@@ -22,7 +22,7 @@ from sqdist.extremal import (
     scan_radius,
     verify_chain_monotone,
 )
-from sqdist.partitions import Partition, count_partitions, enumerate_class
+from sqdist.partitions import Partition
 from sqdist.spectrum import _isolate, energy, spectral_radius_root
 
 
@@ -287,13 +287,6 @@ class TestSingleEvaluation:
         with pytest.raises(InfeasibleParameters, match="h >= 1"):
             scan_energy_h(6, 3, 0)
         assert not calls
-
-
-class TestScanSizeGuard:
-    def test_class_is_counted_as_partitions_of_n_minus_t(self):
-        classes = {(n, t, p.count(1)) for n, t, p in all_partitions_upto(14) if t - p.count(1) >= 2}
-        for n, t, h in classes:
-            assert count_partitions(n - t, t - h, 10**9) == len(list(enumerate_class(n, t, h)))
 
     def test_oversized_class_is_refused_before_evaluating(self, monkeypatch):
         calls = _count_calls(monkeypatch, "energy")

@@ -291,6 +291,7 @@ class TestEnumeration:
         for n, t in [(200, 100), (10**12, 2), (400_000, 200_000)]:
             assert count_partitions(n, t, 10**5) == 10**5 + 1
         assert count_partitions(10**12, 10**12 - 5, 10**5) == 7  # p(5)
+        assert count_partitions(10**12, 1, 10**5) == 1
 
     def test_class_small(self):
         got = sorted(p.parts for p in enumerate_class(7, 3, 1))
