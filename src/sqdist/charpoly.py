@@ -119,21 +119,13 @@ class FactoredCharPoly:
         }
 
 
-def _size_counts(sizes: Sequence[int]) -> list[tuple[int, int]]:
-    """(size m, count k) pairs over the distinct sizes, m ascending."""
-    counts: dict[int, int] = {}
-    for m in sizes:
-        counts[m] = counts.get(m, 0) + 1
-    return sorted(counts.items())
-
-
 def _times_linear(cs: list[int], c: int) -> list[int]:
     """Ascending coefficients of (x + c) * poly(cs)."""
     return [c * a + b for a, b in zip(cs + [0], [0] + cs)]
 
 
 def _secular(pairs: Sequence[tuple[int, int]]) -> IntPolynomial:
-    """The deflated residual of the grouped data, in O(d^2) for d pairs.
+    """The deflated residual of Partition.pairs, in O(d^2) for d pairs.
 
     Q = prod (x + 4 - 3m) over the distinct sizes and
     S = Q - sum k*m * Q/(x + 4 - 3m), each quotient taken by one exact
@@ -162,7 +154,7 @@ def _with_repeats(poly: IntPolynomial, pairs: Sequence[tuple[int, int]]) -> IntP
 
 
 def _gap(pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
-    """1 + sum k*m/(3m - 4) as num/den, den = prod (3m - 4) over the pairs.
+    """1 + sum k*m/(3m - 4) as num/den, den = prod (3m - 4), over Partition.pairs.
 
     Singletons are the group (1, h) with pole -1: when h >= 1, den < 0 and
     num/(-den) is the criterion (h - 1) - sum ni/(3ni - 4) over sizes >= 2.
@@ -174,11 +166,24 @@ def _gap(pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
     return num, den
 
 
+# Highest residual degree (s, plus 1 when h >= 1) char_poly_factored
+# expands: degree 2000 on parts of 2 and 3 takes about 0.5 s.
+MAX_RESIDUAL_DEGREE = 2000
+
+
 def char_poly_factored(p: Partition) -> FactoredCharPoly:
-    """(x+4)^(n-t) * (x+1)^(h-1) * residual."""
-    pairs = _size_counts(p.parts)
+    """(x+4)^(n-t) * (x+1)^(h-1) * residual.
+
+    Raises InfeasibleParameters when the residual degree passes
+    MAX_RESIDUAL_DEGREE.
+    """
+    degree = p.s + (p.h >= 1)
+    if degree > MAX_RESIDUAL_DEGREE:
+        raise InfeasibleParameters(
+            f"residual degree {degree} > {MAX_RESIDUAL_DEGREE}: too large to expand"
+        )
     factors = tuple((c, e) for c, e in ((4, p.n - p.t), (1, p.h - 1)) if e > 0)
-    residual = _with_repeats(_secular(pairs), [(m, k) for m, k in pairs if m > 1])
+    residual = _with_repeats(_secular(p.pairs), [(m, k) for m, k in p.pairs if m > 1])
     return FactoredCharPoly(linear_factors=factors, residual=residual)
 
 
@@ -191,9 +196,8 @@ def det_delta_exact(p: Partition) -> int:
     """
     if p.n - p.t > 10**6:  # the factor (-4)^(n-t) alone has 2(n-t) bits
         raise InfeasibleParameters(f"n - t = {p.n - p.t} > 10^6: (-4)^(n-t) is too large")
-    pairs = _size_counts(p.parts)
-    total, _ = _gap(pairs)
-    for m, k in pairs:
+    total, _ = _gap(p.pairs)
+    for m, k in p.pairs:
         total *= (3 * m - 4) ** (k - 1)
     return (-4) ** (p.n - p.t) * total
 
@@ -204,10 +208,10 @@ class Sign(enum.Enum):
     NEGATIVE = "negative"
 
 
-def _lambda_sign(pairs: Sequence[tuple[int, int]]) -> Sign:
+def _lambda_sign(p: Partition) -> Sign:
     """Sign of lambda_{s+1} from the pairs over all parts; needs h >= 1,
     where den < 0 and the criterion num/(-den) has the sign of num."""
-    num, _ = _gap(pairs)
+    num, _ = _gap(p.pairs)
     if num > 0:
         return Sign.POSITIVE
     if num == 0:
@@ -224,4 +228,4 @@ def lambda_s1_sign(p: Partition) -> Sign:
     """
     if p.h == 0 or p.s == 0:
         raise NotApplicable("sign criterion needs h >= 1 and s >= 1")
-    return _lambda_sign(_size_counts(p.parts))
+    return _lambda_sign(p)

@@ -18,6 +18,8 @@ from .charpoly import Sign, lambda_s1_sign
 from .errors import InfeasibleParameters
 from .partitions import (
     Partition,
+    _check_nt,
+    _check_nth,
     complete_split,
     count_partitions,
     elementary_chain,
@@ -158,12 +160,20 @@ def _scan(quantity, n, t, h, evaluate, compare) -> ScanReport:
 
     The members are the partitions of n into t parts, or M(n,t,h) when h is
     given: one per partition of n - t into s = t - h parts (the parts >= 2,
-    less 1 each), and over MAX_SCAN_MEMBERS of them are refused before any
-    is built.  compare orders two results of evaluate (-1/0/+1); each
-    result's .value is the float the report lists.  The caller checks the
-    parameters before and the claims after.
+    less 1 each).  Before any is built, the parameters are checked, and
+    t > MAX_SCAN_MEMBERS (each member is a t-tuple) or over MAX_SCAN_MEMBERS
+    members are refused.  compare orders two results of evaluate (-1/0/+1);
+    each result's .value is the float the report lists.  The caller checks
+    the claims after.
     """
-    m, k = (n, t) if h is None else (n - t, t - h)
+    if h is None:
+        _check_nt(n, t)
+        m, k = n, t
+    else:
+        _check_nth(n, t, h)
+        m, k = n - t, t - h
+    if t > MAX_SCAN_MEMBERS:
+        raise InfeasibleParameters(f"t = {t} > {MAX_SCAN_MEMBERS} parts in each member")
     if count_partitions(m, k, MAX_SCAN_MEMBERS) > MAX_SCAN_MEMBERS:
         raise InfeasibleParameters(
             f"n = {n}, t = {t}: more than {MAX_SCAN_MEMBERS} partitions to scan"
@@ -188,8 +198,8 @@ def scan_energy(n: int, t: int) -> ScanReport:
     Turan minimality is unique exactly when n <= 2t+1; above that ties are
     guaranteed (several partitions with all parts >= 2 share 8(n-t)).
     """
-    s_nt, t_nt = complete_split(n, t), turan(n, t)  # checks (n, t) first
     report = _scan("energy", n, t, None, energy, compare_energy)
+    s_nt, t_nt = complete_split(n, t), turan(n, t)
     violated = report.violated_claims
     if s_nt not in report.argmax:
         violated.append(f"energy max not at split graph {s_nt}")
@@ -214,8 +224,8 @@ def scan_energy_h(n: int, t: int, h: int) -> ScanReport:
     """
     if h < 1:
         raise InfeasibleParameters(f"need h >= 1 singleton parts, got h={h}")
-    s_nth, t_nth = split_h(n, t, h), turan_h(n, t, h)  # checks (n, t, h) first
     report = _scan("energy", n, t, h, energy, compare_energy)
+    s_nth, t_nth = split_h(n, t, h), turan_h(n, t, h)
     report.signs = {p: lambda_s1_sign(p).value for p, _ in report.values}
     violated = report.violated_claims
     if s_nth not in report.argmax:
@@ -232,8 +242,8 @@ def scan_energy_h(n: int, t: int, h: int) -> ScanReport:
 
 def scan_radius(n: int, t: int) -> ScanReport:
     """Spectral radius over every partition; strict unique extrema."""
-    s_nt, t_nt = complete_split(n, t), turan(n, t)  # checks (n, t) first
     report = _scan("radius", n, t, None, spectral_radius_root, _compare_roots)
+    s_nt, t_nt = complete_split(n, t), turan(n, t)
     if report.argmax != [s_nt]:
         report.violated_claims.append(f"radius max not uniquely at {s_nt}")
     if report.argmin != [t_nt]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterator, Sequence
 
@@ -30,8 +31,10 @@ class Partition:
 
     The constructor sorts the parts descending and rejects parts < 1 with
     NonPositivePart; canonicalize also rejects fewer than two parts.
-    Derived counts: n = sum of parts, t = number of parts, h = number of
-    singleton parts, s = t - h (parts of size >= 2 come first).
+    Derived counts, kept out of eq, hash, order and repr (pairs is computed
+    on first read): pairs = (size m, count k) over the distinct sizes, m
+    ascending, so singletons are the group (1, h); n = sum of parts,
+    t = number of parts, h = number of singleton parts, s = t - h.
     """
 
     parts: tuple[int, ...]
@@ -40,6 +43,13 @@ class Partition:
         if min(self.parts, default=1) < 1:
             raise NonPositivePart(f"all parts must be >= 1, got {list(self.parts)}")
         object.__setattr__(self, "parts", tuple(sorted(self.parts, reverse=True)))
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        counts: dict[int, int] = {}
+        for m in reversed(self.parts):  # ascending, and dicts keep that order
+            counts[m] = counts.get(m, 0) + 1
+        return tuple(counts.items())
 
     @property
     def n(self) -> int:
@@ -51,7 +61,7 @@ class Partition:
 
     @property
     def h(self) -> int:
-        return sum(1 for p in self.parts if p == 1)
+        return self.parts.count(1)
 
     @property
     def s(self) -> int:
@@ -149,17 +159,20 @@ def elementary_chain(y: Partition, x: Partition) -> list[Partition]:
     return chain
 
 
-def complete_split(n: int, t: int) -> Partition:
-    """S_{n,t}: one part of n-t+1 plus t-1 singletons."""
+def _check_nt(n: int, t: int) -> None:
     if not n >= t >= 2:
         raise InfeasibleParameters(f"need n >= t >= 2, got n={n}, t={t}")
+
+
+def complete_split(n: int, t: int) -> Partition:
+    """S_{n,t}: one part of n-t+1 plus t-1 singletons."""
+    _check_nt(n, t)
     return Partition((n - t + 1,) + (1,) * (t - 1))
 
 
 def turan(n: int, t: int) -> Partition:
     """T_{n,t}: the balanced partition into t parts."""
-    if not n >= t >= 2:
-        raise InfeasibleParameters(f"need n >= t >= 2, got n={n}, t={t}")
+    _check_nt(n, t)
     q, r = divmod(n, t)
     return Partition((q + 1,) * r + (q,) * (t - r))
 
@@ -186,25 +199,31 @@ def turan_h(n: int, t: int, h: int) -> Partition:
     return Partition((q + 1,) * r + (q,) * (s - r) + (1,) * h)
 
 
+def _descending(n: int, t: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into exactly t >= 1 parts, as descending tuples in
+    reverse-lexicographic order, without recursion: each step lowers the
+    last a[j] (j < t-1) whose later parts can take a unit under the cap
+    a[j] - 1, then refills those parts largest first."""
+    a = [n - t + 1] + [1] * (t - 1)
+    while True:
+        yield tuple(a)
+        rest = a[-1]  # sum of a[j:] as j moves left
+        for j in range(t - 2, -1, -1):
+            rest += a[j]
+            if (a[j] - 1) * (t - j) >= rest:
+                break
+        else:
+            return
+        v, c = a[j] - 1, t - 1 - j
+        full, r = divmod(rest - v - c, v - 1)  # v >= 2 here, since rest >= a[j] + c
+        a[j:] = [v] * (full + 1) + [r + 1] * (r > 0) + [1] * (c - full - (r > 0))
+
+
 def enumerate_partitions(n: int, t: int) -> Iterator[Partition]:
     """All partitions of n into exactly t parts, reverse-lexicographic."""
-    if not n >= t >= 2:
-        raise InfeasibleParameters(f"need n >= t >= 2, got n={n}, t={t}")
-
-    def rec(remaining: int, count: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if count == 1:
-            if 1 <= remaining <= cap:
-                yield (remaining,)
-            return
-        # largest feasible first part, down to the balanced minimum
-        hi = min(cap, remaining - (count - 1))
-        lo = -(-remaining // count)  # ceil
-        for first in range(hi, lo - 1, -1):
-            for rest in rec(remaining - first, count - 1, first):
-                yield (first,) + rest
-
-    for tup in rec(n, t, n):
-        yield Partition(tup)
+    _check_nt(n, t)
+    for parts in _descending(n, t):
+        yield Partition(parts)
 
 
 def count_partitions(n: int, t: int, cap: int) -> int:
@@ -235,5 +254,5 @@ def enumerate_class(n: int, t: int, h: int) -> Iterator[Partition]:
     """All members of M(n,t,h): exactly h singleton parts."""
     s = _check_nth(n, t, h)
     # parts >= 2 summing to n-h  <=>  parts-1 >= 1 summing to n-h-s
-    for inner in enumerate_partitions(n - h - s, s):
-        yield Partition(tuple(p + 1 for p in inner.parts) + (1,) * h)
+    for inner in _descending(n - h - s, s):
+        yield Partition(tuple(p + 1 for p in inner) + (1,) * h)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .charpoly import IntPolynomial, Sign, _lambda_sign, _secular, _size_counts
+from .charpoly import IntPolynomial, Sign, _lambda_sign, _secular
 from .errors import BracketFailure
 from .partitions import Partition
 
@@ -135,7 +135,7 @@ def deflated_residual(p: Partition) -> IntPolynomial:
     per secular sign change.  It is built from the distinct part sizes and
     their counts in O(d^2) for d distinct sizes; singletons are the pole -1.
     """
-    return _secular(_size_counts(p.parts))
+    return _secular(p.pairs)
 
 
 def _bisect(
@@ -200,9 +200,8 @@ def secular_roots(p: Partition) -> list[IsolatedRoot]:
     3m-4 and one above the largest pole; singletons are the pole -1, so with
     them the lowest root lies in (-1, smallest pole of the sizes >= 2).
     """
-    pairs = _size_counts(p.parts)
-    poly = _secular(pairs)
-    ends = [Fraction(3 * m - 4) for m, _ in pairs]
+    poly = deflated_residual(p)
+    ends = [Fraction(3 * m - 4) for m, _ in p.pairs]
     ends.append(Fraction(_upper_bound(p)))
     return [_isolate(poly, lo, hi) for lo, hi in zip(ends, ends[1:])]
 
@@ -210,7 +209,7 @@ def secular_roots(p: Partition) -> list[IsolatedRoot]:
 def full_spectrum(p: Partition) -> SpectrumReport:
     """Assemble the exact and isolated parts; multiplicities sum to n."""
     # k equal sizes m give 3m-4 with multiplicity k-1; the singletons' -1 last
-    groups = sorted(_size_counts(p.parts), key=lambda mk: mk[0] == 1)
+    groups = sorted(p.pairs, key=lambda mk: mk[0] == 1)
     exact = [(Fraction(3 * m - 4), k - 1) for m, k in groups if k >= 2]
     if p.n - p.t > 0:
         exact.append((Fraction(-4), p.n - p.t))
@@ -224,7 +223,7 @@ def inertia(p: Partition) -> InertiaTriple:
     n, t, s, h = p.n, p.t, p.s, p.h
     if h == 0:
         return InertiaTriple(t, 0, n - t, "all-parts-ge-2")
-    sign = _lambda_sign(_size_counts(p.parts))
+    sign = _lambda_sign(p)
     if sign is Sign.POSITIVE:
         return InertiaTriple(s + 1, 0, n - s - 1, "singleton-case-positive")
     if sign is Sign.ZERO:
@@ -239,11 +238,10 @@ def energy(p: Partition) -> EnergyReport:
         ip = 8 * (n - t)
         return EnergyReport(ip, None, None, float(ip))
     ip = 8 * (n - t) + 2 * (h - 1)
-    pairs = _size_counts(p.parts)
-    if _lambda_sign(pairs) is not Sign.NEGATIVE:
+    if _lambda_sign(p) is not Sign.NEGATIVE:
         return EnergyReport(ip, None, None, float(ip))
     # a negative sign puts the lowest secular root in (-1, 0); neither end is a root
-    lam = _isolate(_secular(pairs), Fraction(-1), Fraction(0))
+    lam = _isolate(deflated_residual(p), Fraction(-1), Fraction(0))
     theta = -lam.value
     return EnergyReport(ip, theta, lam, ip + 2 * theta)
 

@@ -6,6 +6,8 @@ prints one [PASS]/[FAIL] line per criterion at the end of the run.
 
 from fractions import Fraction
 
+import pytest
+
 from conftest import elementary_neighbors, expand, radius_bipartite_closed
 from sqdist.charpoly import Sign, char_poly_factored, det_delta_exact, lambda_s1_sign
 from sqdist.extremal import (
@@ -36,6 +38,16 @@ def _all_partitions(n_max):
     for n in range(2, n_max + 1):
         for t in range(2, n + 1):
             yield from enumerate_partitions(n, t)
+
+
+@pytest.fixture(scope="module")
+def oracle_eigenvalues():
+    """Jacobi eigenvalues of Delta for every partition with n <= 14, shared
+    by criteria 5, 6 and 11 so that no partition is diagonalised twice."""
+    return {
+        p: symmetric_eigenvalues(sqdist_from_partition(p)).eigenvalues
+        for p in _all_partitions(14)
+    }
 
 
 def compare_radius(p, q):
@@ -140,7 +152,7 @@ def test_criterion_04_flat_landscape_17_10_6():
 
 
 @_report(5, "all parts >= 2, n <= 14: inertia (t,0,n-t), energy 8(n-t), oracle within 1e-7")
-def test_criterion_05_no_singleton_theorem():
+def test_criterion_05_no_singleton_theorem(oracle_eigenvalues):
     for p in _all_partitions(14):
         if p.h > 0:
             continue
@@ -148,18 +160,18 @@ def test_criterion_05_no_singleton_theorem():
         assert (tri.n_plus, tri.n_zero, tri.n_minus) == (p.t, 0, p.n - p.t)
         rep = energy(p)
         assert rep.theta is None and rep.integer_part == 8 * (p.n - p.t)
-        oracle = symmetric_eigenvalues(sqdist_from_partition(p))
-        assert abs(sum(abs(v) for v in oracle.eigenvalues) - rep.value) <= 1e-7
+        eigs = oracle_eigenvalues[p]
+        assert abs(sum(abs(v) for v in eigs) - rep.value) <= 1e-7
 
 
 @_report(6, "three-way inertia classification matches oracle sign counts, n <= 14")
-def test_criterion_06_inertia_classification():
+def test_criterion_06_inertia_classification(oracle_eigenvalues):
     zero_case_seen = False
     for p in _all_partitions(14):
         if p.h == 0:
             continue
         tri = inertia(p)
-        eigs = symmetric_eigenvalues(sqdist_from_partition(p)).eigenvalues
+        eigs = oracle_eigenvalues[p]
         n_plus = sum(1 for v in eigs if v > 1e-7)
         n_minus = sum(1 for v in eigs if v < -1e-7)
         assert (tri.n_plus, tri.n_zero, tri.n_minus) == (
@@ -225,10 +237,10 @@ def test_criterion_10_energy_scans():
 
 
 @_report(11, "exact determinant vs oracle product (rel 1e-6) and constant-term identity")
-def test_criterion_11_determinant():
+def test_criterion_11_determinant(oracle_eigenvalues):
     for p in _all_partitions(12):
         det = det_delta_exact(p)
-        eigs = symmetric_eigenvalues(sqdist_from_partition(p)).eigenvalues
+        eigs = oracle_eigenvalues[p]
         prod = 1.0
         scale = 1.0
         for v in eigs:

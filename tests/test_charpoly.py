@@ -15,7 +15,9 @@ from conftest import (
     poly_mul,
     reduced_matrix_B,
 )
+from sqdist import charpoly
 from sqdist.charpoly import (
+    MAX_RESIDUAL_DEGREE,
     IntPolynomial,
     Sign,
     char_poly_factored,
@@ -233,6 +235,27 @@ class TestFactoredCharPoly:
             rows = sqdist_from_partition(p).data.astype(int).tolist()
             assert list(expanded) == charpoly_via_bareiss(rows)
             assert expanded[-1] == 1 and len(expanded) - 1 == p.n
+
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            (3,) * (MAX_RESIDUAL_DEGREE // 2 + 1) + (2,) * (MAX_RESIDUAL_DEGREE // 2),  # s = cap + 1
+            (3,) * (MAX_RESIDUAL_DEGREE // 2) + (2,) * (MAX_RESIDUAL_DEGREE // 2) + (1,) * 3,  # s + 1
+        ],
+    )
+    def test_degree_just_above_the_cap_is_refused(self, monkeypatch, parts):
+        def expand(*args):
+            raise AssertionError("expanded before the degree check")
+
+        monkeypatch.setattr(charpoly, "_with_repeats", expand)
+        with pytest.raises(InfeasibleParameters, match=f"{MAX_RESIDUAL_DEGREE + 1} > {MAX_RESIDUAL_DEGREE}"):
+            char_poly_factored(Partition(parts))
+
+    def test_degree_at_the_cap_is_expanded(self, monkeypatch):
+        monkeypatch.setattr(charpoly, "MAX_RESIDUAL_DEGREE", 4)
+        assert char_poly_factored(Partition((3, 3, 2, 1, 1))).residual.degree == 4
+        with pytest.raises(InfeasibleParameters):
+            char_poly_factored(Partition((3, 3, 2, 2, 1)))
 
 
 class TestDeterminant:

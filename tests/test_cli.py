@@ -165,6 +165,14 @@ class TestExitCodes:
                 "scan-h 10000000000 5 --h 4",
                 "need t >= 2, s = t-h >= 2 and n-h >= 2s, got n=10000000000, t=5, h=4",
             ),
+            # one member, but a tuple of 100 001 parts
+            ("scan-energy 100001 100001", "t = 100001 > 100000 parts in each member"),
+            ("scan-radius 100002 100001", "t = 100001 > 100000 parts in each member"),
+            ("scan-h 100010 100001 --h 99999", "t = 100001 > 100000 parts in each member"),
+            # the parameters are checked before t
+            ("scan-energy 5 100001", "need n >= t >= 2, got n=5, t=100001"),
+            ("charpoly " + ",".join(["3"] * 1000 + ["2"] * 1000 + ["1"]),
+             "residual degree 2001 > 2000: too large to expand"),
         ],
     )
     def test_oversized_scan_is_refused_at_once(self, capsys, argv, message):
@@ -173,6 +181,12 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("argv", ["scan-energy 1500 1500", "scan-radius 1200 1199"])
+    def test_scan_of_thousands_of_parts(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 0 and err == ""
+        assert len(json.loads(out)["values"]) == 1
 
     def test_overlong_chain_is_refused_at_once(self, capsys):
         start = time.perf_counter()

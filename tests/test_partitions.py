@@ -1,5 +1,7 @@
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_partitions, prefix_dominates
@@ -75,6 +77,30 @@ class TestCanonicalize:
         assert parse_partition("1,2,2").parts == (2, 2, 1)
         with pytest.raises(NonPositivePart):
             parse_partition("2,x")
+
+
+# raw part lists, unsorted, with repeated sizes, singletons and parts up to
+# 10^20, each paired with a permutation of itself
+raw_parts_st = st.lists(
+    st.one_of(st.just(1), st.integers(1, 4), st.integers(1, 10**20)),
+    min_size=1, max_size=12,
+).flatmap(lambda xs: st.tuples(st.just(xs), st.permutations(xs)))
+
+
+class TestDerivedCounts:
+    @given(raw_parts_st)
+    @settings(max_examples=100)
+    @example(([1, 1, 1, 1], [1, 1, 1, 1]))
+    @example(([3, 1, 3, 10**20, 1, 3], [1, 3, 10**20, 3, 1, 3]))
+    def test_counts_match_a_recount(self, raw_and_permuted):
+        raw, permuted = raw_and_permuted
+        p = Partition(tuple(raw))
+        assert p.pairs == tuple(sorted(Counter(raw).items()))
+        assert p.n == sum(raw) and p.t == len(raw)
+        assert p.h == raw.count(1) and p.s == len(raw) - raw.count(1)
+        q = Partition(tuple(permuted))  # derived counts not read yet
+        assert p == q and hash(p) == hash(q) and not p < q and not q < p
+        assert repr(p) == repr(q) == f"Partition(parts={tuple(sorted(raw, reverse=True))!r})"
 
 
 class TestMajorizes:
@@ -257,11 +283,15 @@ class TestEnumeration:
         ]
 
     def test_matches_brute_force(self):
-        for n, t in [(10, 4), (12, 5), (9, 2), (8, 8)]:
-            got = [p.parts for p in enumerate_partitions(n, t)]
-            assert len(got) == len(set(got))
-            assert set(got) == brute_force_partitions(n, t)
-            assert got == sorted(got, reverse=True)  # reverse-lex
+        for n in range(2, 15):
+            for t in range(2, n + 1):
+                got = [p.parts for p in enumerate_partitions(n, t)]
+                # the same sequence: every partition once, reverse-lex
+                assert got == sorted(brute_force_partitions(n, t), reverse=True), (n, t)
+
+    def test_class_of_thousands_of_parts(self):
+        got = [p.parts for p in enumerate_class(4005, 2002, 1)]
+        assert got == [(4,) + (2,) * 2000 + (1,), (3, 3) + (2,) * 1999 + (1,)]
 
     def test_guard(self):
         with pytest.raises(InfeasibleParameters):
