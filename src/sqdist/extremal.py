@@ -30,7 +30,6 @@ from .partitions import (
     turan_h,
 )
 from .spectrum import (
-    BISECT_STEPS,
     EnergyReport,
     IsolatedRoot,
     energy,
@@ -61,7 +60,7 @@ def _compare_roots(a: IsolatedRoot, b: IsolatedRoot) -> int:
     if s_lo * s_hi <= 0:
         return 0
     while True:
-        a, b = a.refined(BISECT_STEPS), b.refined(BISECT_STEPS)
+        a, b = a.refined(), b.refined()
         if a.hi_exact < b.lo_exact:
             return -1
         if b.hi_exact < a.lo_exact:

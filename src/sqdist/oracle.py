@@ -38,8 +38,8 @@ class EigenResult:
 
 def symmetric_eigenvalues(m: DenseSymMatrix, tol: float = DEFAULT_TOL) -> EigenResult:
     """All eigenvalues via cyclic Jacobi, off-norm driven below tol * ||M||."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
     norm = float(np.linalg.norm(m.data))
     tol_abs = tol * norm if norm > 0 else tol
     vals, sweeps, off = jacobi_eigensystem(m.data, tol_abs, MAX_SWEEPS)

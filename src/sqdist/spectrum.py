@@ -9,15 +9,18 @@ ends are integer numerators over one common denominator that doubles with
 each halving, and the sign of the residual at num/den is read off the
 integer den^deg * P(num/den) (IntPolynomial.sign_at).  No Fraction is formed
 until the final bracket, and each query isolates only the roots it reports.
+An exact root is a point bracket [r, r], certified by its zero sign.
 Singletons are the size-1 group with pole -1, so the complete graph's
 residual is x + 1 - h; its root h-1 is the upper end 3*1 + n - 4 of the
-bracket, an exact hit that bisection returns at once as h-1 -+ 2^-60.
+bracket, returned at once as [h-1, h-1].  When lambda_{s+1} = 0 the lowest
+bracket starts at that root, so it is [0, 0] and prints as 0.0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -27,23 +30,25 @@ from .partitions import Partition
 
 BRACKET_WIDTH = Fraction(1, 10**12)
 BISECT_STEPS = 60
-_EXACT_NUDGE = Fraction(1, 2**60)
 
 
 @dataclass(frozen=True)
 class IsolatedRoot:
     """A simple root with a certified isolating bracket.
 
-    lo_exact/hi_exact are dyadic rationals where the residual polynomial has
-    opposite signs, or both the root itself once refined collapses an exact
-    hit; value is the float midpoint.  poly is the deflated residual the
-    bracket certifies against.
+    Either lo_exact < hi_exact, with nonzero signs of the residual polynomial
+    of opposite sign at the two ends, or lo_exact == hi_exact is the root
+    itself, where the sign is 0.  value is the float midpoint.  poly is the
+    deflated residual the bracket certifies against.
     """
 
-    value: float
     lo_exact: Fraction
     hi_exact: Fraction
     poly: IntPolynomial
+
+    @cached_property
+    def value(self) -> float:
+        return float((self.lo_exact + self.hi_exact) / 2)
 
     @property
     def lo(self) -> float:
@@ -53,18 +58,10 @@ class IsolatedRoot:
     def hi(self) -> float:
         return float(self.hi_exact)
 
-    def refined(self, steps: int) -> "IsolatedRoot":
-        """The bracket after up to steps more halvings.
-
-        A bracket whose midpoint r is the root, such as an exact hit
-        r -+ 2^-60, collapses to [r, r], which is then a fixed point; so
-        repeated refinement always shrinks the bracket onto the root.
-        """
-        mid = (self.lo_exact + self.hi_exact) / 2
-        if self.poly.sign_at(mid.numerator, mid.denominator) == 0:
-            return IsolatedRoot(float(mid), mid, mid, self.poly)
-        lo, hi = _bisect(self.poly, self.lo_exact, self.hi_exact, steps, Fraction(0))
-        return IsolatedRoot(float((lo + hi) / 2), lo, hi, self.poly)
+    def refined(self) -> "IsolatedRoot":
+        """The bracket after a further run of bisection; a point stays."""
+        lo, hi = _bisect(self.poly, self.lo_exact, self.hi_exact, Fraction(0))
+        return IsolatedRoot(lo, hi, self.poly)
 
     def to_json(self) -> dict:
         return {"value": self.value, "lo": self.lo, "hi": self.hi}
@@ -116,9 +113,16 @@ class EnergyReport:
     """Energy = integer_part + 2*theta; theta present iff lambda_{s+1} < 0."""
 
     integer_part: int
-    theta: Optional[float]
-    theta_root: Optional[IsolatedRoot]  # the negative root itself
-    value: float
+    theta_root: Optional[IsolatedRoot] = None  # the negative root -theta itself
+
+    @property
+    def theta(self) -> Optional[float]:
+        return None if self.theta_root is None else -self.theta_root.value
+
+    @property
+    def value(self) -> float:
+        theta = self.theta
+        return float(self.integer_part) if theta is None else self.integer_part + 2 * theta
 
     def to_json(self) -> dict:
         return {
@@ -139,42 +143,38 @@ def deflated_residual(p: Partition) -> IntPolynomial:
 
 
 def _bisect(
-    poly: IntPolynomial,
-    lo: Fraction,
-    hi: Fraction,
-    max_steps: int,
-    width: Fraction,
+    poly: IntPolynomial, lo: Fraction, hi: Fraction, width: Fraction
 ) -> tuple[Fraction, Fraction]:
-    """Shrink [lo, hi] around the single sign change of poly inside it.
+    """Shrink [lo, hi] around the single root of poly inside it.
 
     The endpoints are kept as integer numerators a, b over one common
     denominator d; each step doubles d, so the midpoint (a+b)/2d is exact and
-    every sign comes from IntPolynomial.sign_at.  Fractions are built only
-    for the returned bracket.
+    every sign comes from IntPolynomial.sign_at.  An end or midpoint with
+    sign 0 is the root, and the bracket collapses to that point.  Bisection
+    stops once the bracket is at most width wide, or after BISECT_STEPS
+    halvings.  Fractions are built only for the returned bracket.
     """
     d = math.lcm(lo.denominator, hi.denominator)
     a = lo.numerator * (d // lo.denominator)
     b = hi.numerator * (d // hi.denominator)
     s_lo = poly.sign_at(a, d)
     s_hi = poly.sign_at(b, d)
-    if s_lo == 0 or s_hi == 0:
-        mid = lo if s_lo == 0 else hi
-        return mid - _EXACT_NUDGE, mid + _EXACT_NUDGE
-    if s_lo == s_hi:
-        raise BracketFailure(
-            f"no sign change of {poly.coeffs} on [{lo}, {hi}]"
-        )
+    if s_lo == 0:
+        b = a
+    elif s_hi == 0:
+        a = b
+    elif s_lo == s_hi:
+        raise BracketFailure(f"no sign change of {poly.coeffs} on [{lo}, {hi}]")
     wn, wd = width.numerator, width.denominator
-    for _ in range(max_steps):
+    for _ in range(BISECT_STEPS):
         if (b - a) * wd <= wn * d:
             break
         mid = a + b
         a, b, d = 2 * a, 2 * b, 2 * d
         s_mid = poly.sign_at(mid, d)
         if s_mid == 0:
-            mid_exact = Fraction(mid, d)
-            return mid_exact - _EXACT_NUDGE, mid_exact + _EXACT_NUDGE
-        if s_mid == s_lo:
+            a = b = mid
+        elif s_mid == s_lo:
             a = mid
         else:
             b = mid
@@ -184,8 +184,7 @@ def _bisect(
 def _isolate(
     poly: IntPolynomial, lo: Fraction, hi: Fraction, width: Fraction = BRACKET_WIDTH
 ) -> IsolatedRoot:
-    lo2, hi2 = _bisect(poly, lo, hi, BISECT_STEPS, width)
-    return IsolatedRoot(float((lo2 + hi2) / 2), lo2, hi2, poly)
+    return IsolatedRoot(*_bisect(poly, lo, hi, width), poly)
 
 
 def _upper_bound(p: Partition) -> int:
@@ -198,10 +197,13 @@ def secular_roots(p: Partition) -> list[IsolatedRoot]:
 
     Bracket layout: one root per gap between consecutive distinct poles
     3m-4 and one above the largest pole; singletons are the pole -1, so with
-    them the lowest root lies in (-1, smallest pole of the sizes >= 2).
+    them the lowest root lies in (-1, smallest pole of the sizes >= 2), or
+    is the point [0, 0] when 0 is a root (lambda_{s+1} = 0).
     """
     poly = deflated_residual(p)
     ends = [Fraction(3 * m - 4) for m, _ in p.pairs]
+    if poly.coeffs[0] == 0:
+        ends[0] = Fraction(0)
     ends.append(Fraction(_upper_bound(p)))
     return [_isolate(poly, lo, hi) for lo, hi in zip(ends, ends[1:])]
 
@@ -235,22 +237,19 @@ def energy(p: Partition) -> EnergyReport:
     """Closed-form energy, exact except for the optional theta correction."""
     n, t, h = p.n, p.t, p.h
     if h == 0:
-        ip = 8 * (n - t)
-        return EnergyReport(ip, None, None, float(ip))
+        return EnergyReport(8 * (n - t))
     ip = 8 * (n - t) + 2 * (h - 1)
     if _lambda_sign(p) is not Sign.NEGATIVE:
-        return EnergyReport(ip, None, None, float(ip))
+        return EnergyReport(ip)
     # a negative sign puts the lowest secular root in (-1, 0); neither end is a root
-    lam = _isolate(deflated_residual(p), Fraction(-1), Fraction(0))
-    theta = -lam.value
-    return EnergyReport(ip, theta, lam, ip + 2 * theta)
+    return EnergyReport(ip, _isolate(deflated_residual(p), Fraction(-1), Fraction(0)))
 
 
 def spectral_radius_root(p: Partition, width: Fraction = BRACKET_WIDTH) -> IsolatedRoot:
     """The Perron root, bracketed in [4(n1 - 1), 3n1 + n - 4].
 
-    Bisection stops once the bracket is at most width wide (or after
-    BISECT_STEPS halvings).
+    Bisection stops once the bracket is at most width wide (or at the step
+    cap of _bisect).
     """
     lower = Fraction(4 * (p.parts[0] - 1))
     return _isolate(deflated_residual(p), lower, Fraction(_upper_bound(p)), width)

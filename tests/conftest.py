@@ -178,6 +178,16 @@ def expand(residual, linear_factors) -> tuple[int, ...]:
     return out
 
 
+def certified(root) -> bool:
+    """One of the two certificate forms of an isolating bracket: lo < hi
+    with nonzero signs of opposite sign at the ends, or lo == hi where the
+    sign is 0."""
+    at_lo, at_hi = root.poly(root.lo_exact), root.poly(root.hi_exact)
+    if root.lo_exact == root.hi_exact:
+        return at_lo == 0
+    return root.lo_exact < root.hi_exact and at_lo * at_hi < 0
+
+
 def reduced_matrix_B(parts: tuple[int, ...]) -> list[list[int]]:
     """The t x t reduction of Delta: diagonal 4(ni - 1), row i off-diagonal ni."""
     t = len(parts)

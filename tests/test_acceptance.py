@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import elementary_neighbors, expand, radius_bipartite_closed
+from conftest import certified, elementary_neighbors, expand, radius_bipartite_closed
 from sqdist.charpoly import Sign, char_poly_factored, det_delta_exact, lambda_s1_sign
 from sqdist.extremal import (
     _compare_roots,
@@ -209,7 +209,7 @@ def test_criterion_08_bipartite_radius():
         root = spectral_radius_root(p)
         bound = Fraction(4 * (p.parts[0] - 1))
         if not root.lo_exact > bound:
-            root = root.refined(40)
+            root = root.refined()
         assert root.lo_exact > bound, p
 
 
@@ -254,16 +254,16 @@ def test_criterion_11_determinant(oracle_eigenvalues):
         assert det == (-1) ** p.n * expand(f.residual.coeffs, f.linear_factors)[0]
 
 
-@_report(12, "certified sign-change brackets, pairwise disjoint, n <= 14")
+@_report(12, "certified brackets (sign change or zero point), pairwise disjoint, n <= 14")
 def test_criterion_12_secular_brackets():
     for p in _all_partitions(14):
         roots = list(full_spectrum(p).isolated)
         for r in roots:
-            assert r.poly(r.lo_exact) * r.poly(r.hi_exact) < 0, p
+            assert certified(r), p
         for i in range(len(roots) - 1):
             a, b = roots[i], roots[i + 1]
             for _ in range(3):
                 if a.hi_exact < b.lo_exact:
                     break
-                a, b = a.refined(50), b.refined(50)
+                a, b = a.refined(), b.refined()
             assert a.hi_exact < b.lo_exact, p

@@ -41,6 +41,13 @@ class TestQueries:
         assert lines[0] == "value,multiplicity,lo,hi,kind"
         assert any(line.startswith("-4,2") for line in lines[1:])
 
+    def test_spectrum_knife_edge_zero(self, capsys):
+        # lambda_{s+1} = 0: the zero eigenvalue prints as the point [0, 0]
+        code, out, _ = run(capsys, "spectrum", "8,4,4,3,1,1,1")
+        assert code == 0
+        (zero,) = [r for r in json.loads(out)["isolated"] if r["value"] == 0.0]
+        assert zero == {"value": 0.0, "lo": 0.0, "hi": 0.0}
+
     def test_energy_integer(self, capsys):
         code, out, _ = run(capsys, "energy", "3,2")
         assert code == 0

@@ -66,18 +66,19 @@ class TestComparators:
         assert compare_radius(p, q) == compare_radius(q, p) == 0
 
     def test_close_roots_are_separated(self):
-        # root 0 is an exact hit of bisection, root 2^-70 lies inside its
-        # bracket; gcd(x, 2^70 x - 1) = 1, so the brackets must separate
+        # root 0 is an exact hit of bisection, the point [0, 0]; the bracket
+        # of root 2^-70 starts at 0; gcd(x, 2^70 x - 1) = 1, so the brackets
+        # must separate
         zero = _isolate(IntPolynomial((0, 1)), Fraction(-1), Fraction(1))
         tiny = _isolate(IntPolynomial((-1, 2**70)), Fraction(-1), Fraction(1))
-        assert zero.lo_exact < tiny.lo_exact < zero.hi_exact
+        assert zero.lo_exact == zero.hi_exact == tiny.lo_exact == 0 < tiny.hi_exact
         assert _compare_roots(zero, tiny) == -1
         assert _compare_roots(tiny, zero) == 1
 
     def test_tie_with_a_collapsed_bracket(self):
         # [3, 3] against a bracket of 3 from another polynomial: the gcd
         # x - 3 vanishes at the overlap end
-        point = _isolate(IntPolynomial((-3, 1)), Fraction(2), Fraction(4)).refined(1)
+        point = _isolate(IntPolynomial((-3, 1)), Fraction(2), Fraction(4)).refined()
         other = _isolate(IntPolynomial((30, -13, 1)), Fraction(2), Fraction(5))
         assert point.lo_exact == point.hi_exact == 3
         assert _compare_roots(point, other) == _compare_roots(other, point) == 0
@@ -102,7 +103,7 @@ class TestComparators:
             for p, q in ties:
                 a, b = (spectral_radius_root(Partition(x)) for x in (p, q))
                 print(_compare_roots(a, b), flush=True)
-            point = _isolate(IntPolynomial((-3, 1)), Fraction(2), Fraction(4)).refined(1)
+            point = _isolate(IntPolynomial((-3, 1)), Fraction(2), Fraction(4)).refined()
             other = _isolate(IntPolynomial((30, -13, 1)), Fraction(2), Fraction(5))
             print(_compare_roots(point, other), flush=True)
             """

@@ -1,3 +1,4 @@
+import math
 import time
 from unittest.mock import Mock
 
@@ -93,8 +94,9 @@ class TestJacobiEigenvalues:
         assert np.allclose(res.eigenvalues, ref, atol=1e-9)
 
     def test_tol_guard(self):
-        with pytest.raises(ValueError):
-            symmetric_eigenvalues(_sym([[0, 1], [1, 0]]), tol=0)
+        for tol in (0, -1e-12, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                symmetric_eigenvalues(_sym([[0, 1], [1, 0]]), tol=tol)
 
     def test_diagonal_is_exact_in_zero_sweeps(self):
         diag = [3.5, -2.0, 0.0, 7.25, 1e-3]

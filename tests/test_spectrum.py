@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import all_partitions_upto, poly_mul, radius_bipartite_closed
+from conftest import all_partitions_upto, certified, poly_mul, radius_bipartite_closed
 from sqdist.charpoly import IntPolynomial, Sign, lambda_s1_sign
 from sqdist.errors import BracketFailure
 from sqdist.extremal import _compare_roots
@@ -34,8 +34,8 @@ def _approx_set(got, expected, tol=1e-9):
 
 
 def _fraction_bisect(poly, lo, hi, max_steps, width):
-    """Reference bisection in Fraction arithmetic, one Horner per sign."""
-    nudge = Fraction(1, 2**60)
+    """Reference bisection in Fraction arithmetic, one Horner per sign; an
+    exact root is returned as the point bracket (r, r)."""
 
     def sign(x):
         v = poly(x)
@@ -44,7 +44,7 @@ def _fraction_bisect(poly, lo, hi, max_steps, width):
     s_lo, s_hi = sign(lo), sign(hi)
     if s_lo == 0 or s_hi == 0:
         mid = lo if s_lo == 0 else hi
-        return mid - nudge, mid + nudge
+        return mid, mid
     if s_lo == s_hi:
         raise BracketFailure("no sign change")
     for _ in range(max_steps):
@@ -53,7 +53,7 @@ def _fraction_bisect(poly, lo, hi, max_steps, width):
         mid = (lo + hi) / 2
         s_mid = sign(mid)
         if s_mid == 0:
-            return mid - nudge, mid + nudge
+            return mid, mid
         if s_mid == s_lo:
             lo = mid
         else:
@@ -98,11 +98,11 @@ class TestBisect:
     def test_matches_fraction_reference(self, p):
         poly = deflated_residual(p)
         for lo, hi in _initial_brackets(p):
-            got = _bisect(poly, lo, hi, BISECT_STEPS, BRACKET_WIDTH)
+            got = _bisect(poly, lo, hi, BRACKET_WIDTH)
             assert got == _fraction_bisect(poly, lo, hi, BISECT_STEPS, BRACKET_WIDTH)
             # refinement starts from a dyadic bracket with width 0
-            assert _bisect(poly, *got, 50, Fraction(0)) == _fraction_bisect(
-                poly, *got, 50, Fraction(0)
+            assert _bisect(poly, *got, Fraction(0)) == _fraction_bisect(
+                poly, *got, BISECT_STEPS, Fraction(0)
             )
 
     def test_exact_hits_and_non_dyadic_ends(self):
@@ -115,20 +115,18 @@ class TestBisect:
         ]
         for lo, hi in cases:
             for width in (BRACKET_WIDTH, Fraction(1, 10), Fraction(0)):
-                assert _bisect(p, lo, hi, 60, width) == _fraction_bisect(p, lo, hi, 60, width)
+                assert _bisect(p, lo, hi, width) == _fraction_bisect(p, lo, hi, BISECT_STEPS, width)
 
     def test_no_sign_change(self):
         with pytest.raises(BracketFailure):
-            _bisect(IntPolynomial((-5, 1)), Fraction(0), Fraction(1), 60, BRACKET_WIDTH)
+            _bisect(IntPolynomial((-5, 1)), Fraction(0), Fraction(1), BRACKET_WIDTH)
 
 
 class TestRefined:
     def test_exact_hit_collapses_to_a_fixed_point(self):
-        hit = _isolate(IntPolynomial((-3, 1)), Fraction(2), Fraction(4))  # midpoint is the root
-        assert (hit.lo_exact, hit.hi_exact) == (3 - Fraction(1, 2**60), 3 + Fraction(1, 2**60))
-        point = hit.refined(50)
+        point = _isolate(IntPolynomial((-3, 1)), Fraction(2), Fraction(4))  # midpoint is the root
         assert point.lo_exact == point.hi_exact == 3 and point.value == 3.0
-        assert point.refined(50) == point
+        assert point.refined() == point
 
 
 class TestSecularRoots:
@@ -147,20 +145,17 @@ class TestSecularRoots:
     def test_complete_graph_exact(self):
         (root,) = secular_roots(Partition((1, 1, 1, 1)))
         assert root.value == 3.0
-        assert root.lo_exact < 3 < root.hi_exact
+        assert root.lo_exact == root.hi_exact == 3
 
     @pytest.mark.parametrize("h", range(2, 7))
     def test_complete_graph_is_an_exact_hit(self, h):
         # no poles: the general bracket ends at the exact root h-1
         p = Partition((1,) * h)
-        nudge = Fraction(1, 2**60)
         roots = secular_roots(p) + [
             spectral_radius_root(p),
             spectral_radius_root(p, Fraction(1, 2)),
         ]
-        assert [(r.lo_exact, r.hi_exact, r.value) for r in roots] == [
-            (h - 1 - nudge, h - 1 + nudge, h - 1)
-        ] * 3
+        assert [(r.lo_exact, r.hi_exact, r.value) for r in roots] == [(h - 1, h - 1, h - 1)] * 3
 
     def test_root_count(self):
         # one root per pole gap, one above; one extra below with singletons
@@ -176,10 +171,23 @@ class TestSecularRoots:
         for _, _, parts in all_partitions_upto(12):
             roots = secular_roots(Partition(parts))
             for r in roots:
-                assert r.lo_exact < r.hi_exact
-                assert r.poly(r.lo_exact) * r.poly(r.hi_exact) < 0
+                assert certified(r)
             for a, b in zip(roots, roots[1:]):
                 assert a.hi_exact < b.lo_exact
+
+    def test_knife_edge_zero_is_a_point(self):
+        # lambda_{s+1} = 0: the zero eigenvalue is the point [0, 0], not a
+        # bisection midpoint near 0
+        knife = []
+        for _, _, parts in all_partitions_upto(14):
+            p = Partition(parts)
+            if inertia(p).n_zero == 1:
+                knife.append(p)
+                rep = full_spectrum(p)
+                points = [r for r in rep.isolated if r.lo_exact == r.hi_exact == 0]
+                assert len(points) == 1, p
+                assert rep.eigenvalues().count(0.0) == 1, p
+        assert len(knife) == 7
 
     def test_interlacing_with_poles(self):
         # gap roots sit strictly between consecutive poles 3m-4
@@ -196,7 +204,7 @@ class TestSecularRoots:
         p = Partition((4, 3, 3, 1))
         poly = deflated_residual(p)
         for r in secular_roots(p):
-            tight = r.refined(80)
+            tight = r.refined()
             assert float(poly(Fraction(tight.value).limit_denominator(10**15))) == pytest.approx(0, abs=1e-6)
 
     @pytest.mark.xfail(
