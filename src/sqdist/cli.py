@@ -1,7 +1,7 @@
 """Command-line access to all queries and sweeps.
 
 Exit codes: 0 success, 1 domain error, 2 verification failure, 64 usage.
-JSON is the default output; --csv switches spectrum and the scans to CSV.
+Output is JSON; --csv switches spectrum and the scans to CSV.
 JSON floats are printed in full (Python's shortest round-trip repr), CSV
 floats with 12 significant digits; exact integers as decimal strings.
 """
@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
-from fractions import Fraction
 
 from . import extremal, oracle, partitions, spectrum
 from .charpoly import char_poly_factored
@@ -32,17 +30,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _positive_float(text: str) -> float:
-    """argparse type for tolerances: a finite number > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
-    return value
-
-
 def _emit(payload) -> None:
     if isinstance(payload, str):
         sys.stdout.write(payload + "\n")
@@ -58,23 +45,15 @@ def build_parser() -> _Parser:
     def add(name, help_, partition=False, csv=False):
         cmd = sub.add_parser(name, help=help_)
         if partition:
-            cmd.add_argument(
-                "partition", help="comma-separated part sizes, e.g. 5,2,2,1"
-            )
-        fmt = cmd.add_mutually_exclusive_group()
-        fmt.add_argument("--json", action="store_true", default=False)
+            cmd.add_argument("partition", help="comma-separated part sizes, e.g. 5,2,2,1")
         if csv:
-            fmt.add_argument("--csv", action="store_true", default=False)
+            cmd.add_argument("--csv", action="store_true")
         return cmd
 
     add("spectrum", "full eigenvalue structure", partition=True, csv=True)
     add("inertia", "signature (n+, n0, n-)", partition=True)
     add("energy", "squared distance energy", partition=True)
-    radius = add("radius", "spectral radius with bracket", partition=True)
-    radius.add_argument(
-        "--tol", type=_positive_float, default=None,
-        help="widest allowed bracket (default 1e-12)",
-    )
+    add("radius", "spectral radius with bracket", partition=True)
     add("charpoly", "factored characteristic polynomial", partition=True)
 
     scan_e = add("scan-energy", "energy scan over all partitions of (n,t)", csv=True)
@@ -94,7 +73,6 @@ def build_parser() -> _Parser:
 
     verify = add("verify", "oracle sweep up to n = nmax")
     verify.add_argument("--nmax", type=int, required=True)
-    verify.add_argument("--tol", type=_positive_float, default=oracle.DEFAULT_TOL)
 
     return parser
 
@@ -122,8 +100,7 @@ def run(argv) -> int:
         elif args.command == "energy":
             _emit(spectrum.energy(p).to_json())
         elif args.command == "radius":
-            width = spectrum.BRACKET_WIDTH if args.tol is None else Fraction(args.tol)
-            _emit(spectrum.spectral_radius_root(p, width).to_json())
+            _emit(spectrum.spectral_radius_root(p).to_json())
         elif args.command == "charpoly":
             _emit(char_poly_factored(p).to_json())
         elif args.command in ("scan-energy", "scan-radius", "scan-h"):
@@ -144,12 +121,8 @@ def run(argv) -> int:
             if not report.ok:
                 return EXIT_VERIFY
         elif args.command == "verify":
-            summary = oracle.sweep(args.nmax, args.tol)
-            out = summary.to_json_lines()
-            if out:
-                out += "\n"
-            out += json.dumps(summary.to_json())
-            _emit(out)
+            summary = oracle.sweep(args.nmax)
+            _emit(summary.to_json_lines())
             sys.stderr.write(f"{summary.failure_count} failures\n")
             if summary.failure_count:
                 return EXIT_VERIFY

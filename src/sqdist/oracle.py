@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .matrices import DenseSymMatrix, multipartite_graph, sqdist_from_graph
 from .partitions import Partition, enumerate_partitions
 from .spectrum import energy, full_spectrum, inertia
 
-DEFAULT_TOL = 1e-12
+JACOBI_TOL = 1e-12  # off-norm target relative to ||M||
 MAX_SWEEPS = 100
 EIG_TOL = 1e-9  # largest closed-form vs Jacobi eigenvalue deviation that passes
 ZERO_THRESHOLD = 1e-7  # Jacobi eigenvalues within this of 0 count as zero
@@ -36,12 +36,10 @@ class EigenResult:
     off_norm: float
 
 
-def symmetric_eigenvalues(m: DenseSymMatrix, tol: float = DEFAULT_TOL) -> EigenResult:
-    """All eigenvalues via cyclic Jacobi, off-norm driven below tol * ||M||."""
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+def symmetric_eigenvalues(m: DenseSymMatrix) -> EigenResult:
+    """All eigenvalues via cyclic Jacobi, off-norm driven below JACOBI_TOL * ||M||."""
     norm = float(np.linalg.norm(m.data))
-    tol_abs = tol * norm if norm > 0 else tol
+    tol_abs = JACOBI_TOL * norm if norm > 0 else JACOBI_TOL
     vals, sweeps, off = jacobi_eigensystem(m.data, tol_abs, MAX_SWEEPS)
     if off > tol_abs:
         raise NoConvergence(
@@ -74,15 +72,13 @@ class VerificationRecord:
         }
 
 
-def verify_partition(p: Partition, tol: float = DEFAULT_TOL) -> VerificationRecord:
+def verify_partition(p: Partition) -> VerificationRecord:
     """Cross-check every closed-form invariant against the Jacobi oracle."""
     delta = sqdist_from_graph(multipartite_graph(p))
-    oracle = symmetric_eigenvalues(delta, tol)
+    oracle = symmetric_eigenvalues(delta)
     closed = full_spectrum(p).eigenvalues()
 
-    max_dev = max(
-        abs(a - b) for a, b in zip(closed, oracle.eigenvalues)
-    )
+    max_dev = max(abs(a - b) for a, b in zip(closed, oracle.eigenvalues))
 
     ine = inertia(p)
     n_plus = sum(1 for v in oracle.eigenvalues if v > ZERO_THRESHOLD)
@@ -114,21 +110,37 @@ def verify_partition(p: Partition, tol: float = DEFAULT_TOL) -> VerificationReco
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepSummary:
+    """The records of a sweep; the counts and worst deviations derive from them."""
+
     n_max: int
-    checked: int
-    failures: list[VerificationRecord] = field(default_factory=list)
-    worst_eig_deviation: float = 0.0
-    worst_energy_deviation: float = 0.0
-    records: list[VerificationRecord] = field(default_factory=list)
+    records: list[VerificationRecord]
+
+    @property
+    def checked(self) -> int:
+        return len(self.records)
+
+    @property
+    def failures(self) -> list[VerificationRecord]:
+        return [r for r in self.records if not r.passed]
 
     @property
     def failure_count(self) -> int:
         return len(self.failures)
 
+    @property
+    def worst_eig_deviation(self) -> float:
+        return max((r.max_eig_deviation for r in self.records), default=0.0)
+
+    @property
+    def worst_energy_deviation(self) -> float:
+        return max((r.energy_deviation for r in self.records), default=0.0)
+
     def to_json_lines(self) -> str:
-        return "\n".join(json.dumps(r.to_json()) for r in self.records)
+        """One JSON line per record, then the summary line."""
+        lines = [r.to_json() for r in self.records] + [self.to_json()]
+        return "\n".join(map(json.dumps, lines))
 
     def to_json(self) -> dict:
         return {
@@ -140,7 +152,7 @@ class SweepSummary:
         }
 
 
-def sweep(n_max: int, tol: float = DEFAULT_TOL) -> SweepSummary:
+def sweep(n_max: int) -> SweepSummary:
     """verify_partition over every partition with 2 <= t <= n <= n_max.
 
     Raises InfeasibleParameters before enumerating when n_max is below 2 or
@@ -158,15 +170,4 @@ def sweep(n_max: int, tol: float = DEFAULT_TOL) -> SweepSummary:
         for t in range(2, n + 1)
         for p in enumerate_partitions(n, t)
     ]
-    records = [verify_partition(p, tol) for p in targets]
-    summary = SweepSummary(n_max=n_max, checked=len(records), records=records)
-    for rec in records:
-        if not rec.passed:
-            summary.failures.append(rec)
-        summary.worst_eig_deviation = max(
-            summary.worst_eig_deviation, rec.max_eig_deviation
-        )
-        summary.worst_energy_deviation = max(
-            summary.worst_energy_deviation, rec.energy_deviation
-        )
-    return summary
+    return SweepSummary(n_max, [verify_partition(p) for p in targets])

@@ -14,6 +14,7 @@ from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .errors import (
+    DisconnectedGraph,
     EmptyInput,
     Identical,
     InfeasibleParameters,
@@ -29,8 +30,10 @@ from .errors import (
 class Partition:
     """Descending tuple of positive part sizes; the sole graph identifier.
 
-    The constructor sorts the parts descending and rejects parts < 1 with
-    NonPositivePart; canonicalize also rejects fewer than two parts.
+    The constructor sorts the parts descending and rejects what is not a
+    connected graph: no parts (EmptyInput), a part < 1 (NonPositivePart), or
+    one part >= 2, which has no edges (DisconnectedGraph); K_1 = (1,) is
+    connected.  canonicalize also rejects fewer than two parts.
     Derived counts, kept out of eq, hash, order and repr (pairs is computed
     on first read): pairs = (size m, count k) over the distinct sizes, m
     ascending, so singletons are the group (1, h); n = sum of parts,
@@ -40,8 +43,12 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if min(self.parts, default=1) < 1:
+        if not self.parts:
+            raise EmptyInput("partition must have at least one part")
+        if min(self.parts) < 1:
             raise NonPositivePart(f"all parts must be >= 1, got {list(self.parts)}")
+        if len(self.parts) == 1 and self.parts[0] >= 2:
+            raise DisconnectedGraph(f"one part of {self.parts[0]} has no edges")
         object.__setattr__(self, "parts", tuple(sorted(self.parts, reverse=True)))
 
     @cached_property
@@ -81,14 +88,11 @@ class Verdict(enum.Enum):
 def canonicalize(raw: Sequence[int]) -> Partition:
     """Validate and sort a raw part-size sequence into a Partition."""
     parts = tuple(raw)
-    if not parts:
-        raise EmptyInput("partition must have at least one part")
-    p = Partition(parts)  # sorts, and rejects parts < 1
-    if p.t < 2:
+    if len(parts) == 1 and parts[0] >= 1:  # a part < 1 is reported as such
         raise PartCountBelowTwo(
             "need at least two parts (t = 1 gives a disconnected complement)"
         )
-    return p
+    return Partition(parts)  # sorts, and rejects () and parts < 1
 
 
 def parse_partition(text: str) -> Partition:

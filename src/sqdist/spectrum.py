@@ -181,31 +181,32 @@ def _bisect(
     return Fraction(a, d), Fraction(b, d)
 
 
-def _isolate(
-    poly: IntPolynomial, lo: Fraction, hi: Fraction, width: Fraction = BRACKET_WIDTH
-) -> IsolatedRoot:
-    return IsolatedRoot(*_bisect(poly, lo, hi, width), poly)
+def _isolate(poly: IntPolynomial, lo: Fraction, hi: Fraction) -> IsolatedRoot:
+    return IsolatedRoot(*_bisect(poly, lo, hi, BRACKET_WIDTH), poly)
 
 
-def _upper_bound(p: Partition) -> int:
-    """Max-row-sum bound on the Perron value: 3*n1 + n - 4."""
-    return 3 * p.parts[0] + p.n - 4
+def _perron_bracket(p: Partition) -> tuple[Fraction, Fraction]:
+    """[4(n1 - 1), 3n1 + n - 4]: a strict lower bound on the Perron value
+    at or above the largest pole 3n1 - 4, and the max-row-sum bound."""
+    n1 = p.parts[0]
+    return Fraction(4 * (n1 - 1)), Fraction(3 * n1 + p.n - 4)
 
 
 def secular_roots(p: Partition) -> list[IsolatedRoot]:
     """All simple roots of the deflated residual, ascending, with brackets.
 
     Bracket layout: one root per gap between consecutive distinct poles
-    3m-4 and one above the largest pole; singletons are the pole -1, so with
-    them the lowest root lies in (-1, smallest pole of the sizes >= 2), or
-    is the point [0, 0] when 0 is a root (lambda_{s+1} = 0).
+    3m-4 and the Perron root on _perron_bracket, above the largest pole;
+    singletons are the pole -1, so with them the lowest root lies in
+    (-1, smallest pole of the sizes >= 2), or is the point [0, 0] when 0 is
+    a root (lambda_{s+1} = 0).
     """
     poly = deflated_residual(p)
     ends = [Fraction(3 * m - 4) for m, _ in p.pairs]
     if poly.coeffs[0] == 0:
         ends[0] = Fraction(0)
-    ends.append(Fraction(_upper_bound(p)))
-    return [_isolate(poly, lo, hi) for lo, hi in zip(ends, ends[1:])]
+    gaps = [_isolate(poly, lo, hi) for lo, hi in zip(ends, ends[1:])]
+    return gaps + [_isolate(poly, *_perron_bracket(p))]
 
 
 def full_spectrum(p: Partition) -> SpectrumReport:
@@ -245,11 +246,6 @@ def energy(p: Partition) -> EnergyReport:
     return EnergyReport(ip, _isolate(deflated_residual(p), Fraction(-1), Fraction(0)))
 
 
-def spectral_radius_root(p: Partition, width: Fraction = BRACKET_WIDTH) -> IsolatedRoot:
-    """The Perron root, bracketed in [4(n1 - 1), 3n1 + n - 4].
-
-    Bisection stops once the bracket is at most width wide (or at the step
-    cap of _bisect).
-    """
-    lower = Fraction(4 * (p.parts[0] - 1))
-    return _isolate(deflated_residual(p), lower, Fraction(_upper_bound(p)), width)
+def spectral_radius_root(p: Partition) -> IsolatedRoot:
+    """The Perron root, isolated on _perron_bracket like the top secular root."""
+    return _isolate(deflated_residual(p), *_perron_bracket(p))

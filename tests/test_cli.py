@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +17,22 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _readme_commands() -> list[str]:
+    """The `sqdist ...` lines of the README's CLI block, comments dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    return [line.split("#")[0].split(maxsplit=1)[1].strip() for line in block.splitlines()]
+
+
+@pytest.mark.parametrize("argv", _readme_commands())
+def test_readme_cli_example_runs(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0 and out, err
+
+
 class TestQueries:
     def test_spectrum_json(self, capsys):
-        code, out, _ = run(capsys, "spectrum", "2,2,1", "--json")
+        code, out, _ = run(capsys, "spectrum", "2,2,1")
         assert code == 0
         payload = json.loads(out)
         eigs = []
@@ -84,13 +99,6 @@ class TestQueries:
         assert payload["value"] == pytest.approx(6 + math.sqrt(10), abs=1e-9)
         # value is the full float midpoint of the certified bracket
         assert payload["lo"] <= payload["value"] <= payload["hi"]
-
-    def test_radius_tol(self, capsys):
-        code, out, _ = run(capsys, "radius", "3,2", "--tol", "0.5")
-        assert code == 0
-        payload = json.loads(out)
-        assert 1e-3 < payload["hi"] - payload["lo"] <= 0.5
-        assert payload["lo"] < 6 + math.sqrt(10) < payload["hi"]
 
     def test_charpoly(self, capsys):
         code, out, _ = run(capsys, "charpoly", "2,1,1")
@@ -243,9 +251,12 @@ class TestExitCodes:
             ["radius", "3,2", "--tol", "-0.5"],
             ["radius", "3,2", "--tol", "nan"],
             ["radius", "3,2", "--tol", "abc"],
+            ["radius", "3,2", "--tol", "1e-3"],
+            ["verify", "--nmax", "3", "--tol", "1e-6"],
         ],
     )
     def test_usage_error_bad_tol(self, capsys, argv):
+        # brackets and the Jacobi tolerance are fixed: --tol is no option
         with pytest.raises(SystemExit) as excinfo:
             cli.run(argv)
         assert excinfo.value.code == 64
@@ -255,13 +266,21 @@ class TestExitCodes:
         ]
         assert len(errors) == 1 and "--tol" in errors[0]
 
+    @pytest.mark.parametrize("argv", ["spectrum 2,2,1", "scan-energy 6 3", "verify --nmax 3"])
+    def test_json_is_not_an_option(self, capsys, argv):
+        # JSON is the output unless --csv is given
+        with pytest.raises(SystemExit) as excinfo:
+            cli.run([*argv.split(), "--json"])
+        assert excinfo.value.code == 64
+        assert "error: unrecognized arguments: --json\n" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["energy", "inertia", "radius", "charpoly"])
     def test_csv_rejected_on_json_only_commands(self, capsys, command):
         with pytest.raises(SystemExit) as excinfo:
             cli.run([command, "2,2,1", "--csv"])
         assert excinfo.value.code == 64
         assert "--csv" in capsys.readouterr().err
-        code, out, _ = run(capsys, command, "2,2,1", "--json")
+        code, out, _ = run(capsys, command, "2,2,1")
         assert code == 0
         assert json.loads(out)
 

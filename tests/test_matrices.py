@@ -97,9 +97,9 @@ class TestGraphConstruction:
             assert _edges(g) == complete_multipartite_edges(parts)
 
     def test_single_part_is_disconnected(self):
-        # the bare constructor allows t = 1; a part of 3 has no edges
+        # a part of 3 has no edges; Partition((3,)) itself is refused
         with pytest.raises(DisconnectedGraph):
-            sqdist_from_graph(multipartite_graph(Partition((3,))))
+            sqdist_from_graph(SimpleGraph((3,)))
 
 
 class TestBfsRoute:

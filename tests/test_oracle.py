@@ -1,4 +1,5 @@
-import math
+import dataclasses
+import json
 import time
 from unittest.mock import Mock
 
@@ -93,11 +94,6 @@ class TestJacobiEigenvalues:
         ref = np.sort(np.linalg.eigvalsh(sym))[::-1]
         assert np.allclose(res.eigenvalues, ref, atol=1e-9)
 
-    def test_tol_guard(self):
-        for tol in (0, -1e-12, math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError):
-                symmetric_eigenvalues(_sym([[0, 1], [1, 0]]), tol=tol)
-
     def test_diagonal_is_exact_in_zero_sweeps(self):
         diag = [3.5, -2.0, 0.0, 7.25, 1e-3]
         res = symmetric_eigenvalues(_sym(np.diag(diag)))
@@ -185,3 +181,15 @@ class TestSweep:
     def test_guard(self):
         with pytest.raises(InfeasibleParameters):
             sweep(1)
+
+    def test_counts_derive_from_records(self):
+        ok = verify_partition(Partition((2, 1)))
+        bad = dataclasses.replace(ok, max_eig_deviation=0.5, passed=False)
+        summary = oracle.SweepSummary(3, [ok, bad])
+        assert (summary.checked, summary.failure_count, summary.failures) == (2, 1, [bad])
+        assert summary.worst_eig_deviation == 0.5
+        assert summary.worst_energy_deviation == ok.energy_deviation
+        lines = summary.to_json_lines().splitlines()
+        assert [json.loads(line) for line in lines] == [
+            ok.to_json(), bad.to_json(), summary.to_json()
+        ]

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_partitions, prefix_dominates
 from sqdist.errors import (
+    DisconnectedGraph,
     EmptyInput,
     Identical,
     InfeasibleParameters,
@@ -72,6 +73,13 @@ class TestCanonicalize:
         with pytest.raises(PartCountBelowTwo):
             canonicalize([4])
 
+    def test_constructor_rejects_what_is_not_a_connected_graph(self):
+        with pytest.raises(EmptyInput):
+            Partition(())
+        with pytest.raises(DisconnectedGraph):
+            Partition((5,))  # edgeless: Delta is undefined
+        assert Partition((1,)).n == 1  # K_1 is connected
+
     def test_parse(self):
         assert parse_partition("5,2,2,1").parts == (5, 2, 2, 1)
         assert parse_partition("1,2,2").parts == (2, 2, 1)
@@ -79,11 +87,11 @@ class TestCanonicalize:
             parse_partition("2,x")
 
 
-# raw part lists, unsorted, with repeated sizes, singletons and parts up to
-# 10^20, each paired with a permutation of itself
+# raw part lists of at least two parts, unsorted, with repeated sizes,
+# singletons and parts up to 10^20, each paired with a permutation of itself
 raw_parts_st = st.lists(
     st.one_of(st.just(1), st.integers(1, 4), st.integers(1, 10**20)),
-    min_size=1, max_size=12,
+    min_size=2, max_size=12,
 ).flatmap(lambda xs: st.tuples(st.just(xs), st.permutations(xs)))
 
 

@@ -151,11 +151,8 @@ class TestSecularRoots:
     def test_complete_graph_is_an_exact_hit(self, h):
         # no poles: the general bracket ends at the exact root h-1
         p = Partition((1,) * h)
-        roots = secular_roots(p) + [
-            spectral_radius_root(p),
-            spectral_radius_root(p, Fraction(1, 2)),
-        ]
-        assert [(r.lo_exact, r.hi_exact, r.value) for r in roots] == [(h - 1, h - 1, h - 1)] * 3
+        roots = secular_roots(p) + [spectral_radius_root(p)]
+        assert [(r.lo_exact, r.hi_exact, r.value) for r in roots] == [(h - 1, h - 1, h - 1)] * 2
 
     def test_root_count(self):
         # one root per pole gap, one above; one extra below with singletons
@@ -386,6 +383,12 @@ class TestSpectralRadius:
             value, lo, hi = root.value, root.lo, root.hi
             assert hi - lo <= 1e-11
             assert value == pytest.approx(full_spectrum(p).eigenvalues()[0], abs=1e-9)
+
+    def test_is_the_top_secular_root(self):
+        # one Perron bracket: radius and spectrum print the same top root
+        for _, _, parts in all_partitions_upto(14):
+            p = Partition(parts)
+            assert spectral_radius_root(p) == secular_roots(p)[-1]
 
     def test_strict_lower_bound(self):
         for _, _, parts in all_partitions_upto(12):
