@@ -11,14 +11,6 @@ from .charpoly import (
     lambda_s1_sign,
 )
 from .errors import SqDistError
-from .matrices import (
-    DenseSymMatrix,
-    SimpleGraph,
-    multipartite_graph,
-    sqdist_from_graph,
-    sqdist_from_partition,
-)
-from .oracle import EigenResult, sweep, symmetric_eigenvalues, verify_partition
 from .partitions import (
     Partition,
     Verdict,

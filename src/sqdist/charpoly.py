@@ -208,24 +208,20 @@ class Sign(enum.Enum):
     NEGATIVE = "negative"
 
 
-def _lambda_sign(p: Partition) -> Sign:
-    """Sign of lambda_{s+1} from the pairs over all parts; needs h >= 1,
-    where den < 0 and the criterion num/(-den) has the sign of num."""
+def lambda_s1_sign(p: Partition) -> Sign:
+    """Exact sign of the (s+1)-th eigenvalue when singletons are present.
+
+    The sign is that of (h-1) - sum ni/(3ni-4) over the s parts >= 2; at
+    s = 0 (the complete graph K_h) that is the sign of lambda_1 = h - 1.
+    Singletons are the group (1, h) with pole -1, so den < 0 and this is
+    the sign of the numerator of the grouped gap over all parts, decided in
+    integers.
+    """
+    if p.h == 0:
+        raise NotApplicable("sign criterion needs h >= 1")
     num, _ = _gap(p.pairs)
     if num > 0:
         return Sign.POSITIVE
     if num == 0:
         return Sign.ZERO
     return Sign.NEGATIVE
-
-
-def lambda_s1_sign(p: Partition) -> Sign:
-    """Exact sign of the (s+1)-th eigenvalue when singletons are present.
-
-    The sign is that of (h-1) - sum ni/(3ni-4) over the s parts >= 2.
-    Singletons are the group (1, h) with pole -1, so this is the sign of
-    the numerator of the grouped gap over all parts, decided in integers.
-    """
-    if p.h == 0 or p.s == 0:
-        raise NotApplicable("sign criterion needs h >= 1 and s >= 1")
-    return _lambda_sign(p)

@@ -13,7 +13,7 @@ import functools
 import json
 import sys
 
-from . import extremal, oracle, partitions, spectrum
+from . import extremal, partitions, spectrum
 from .charpoly import char_poly_factored
 from .errors import SqDistError
 
@@ -121,6 +121,7 @@ def run(argv) -> int:
             if not report.ok:
                 return EXIT_VERIFY
         elif args.command == "verify":
+            from . import oracle  # numpy is loaded only here
             summary = oracle.sweep(args.nmax)
             _emit(summary.to_json_lines())
             sys.stderr.write(f"{summary.failure_count} failures\n")

@@ -89,9 +89,7 @@ def canonicalize(raw: Sequence[int]) -> Partition:
     """Validate and sort a raw part-size sequence into a Partition."""
     parts = tuple(raw)
     if len(parts) == 1 and parts[0] >= 1:  # a part < 1 is reported as such
-        raise PartCountBelowTwo(
-            "need at least two parts (t = 1 gives a disconnected complement)"
-        )
+        raise PartCountBelowTwo("need at least two parts, got t = 1")
     return Partition(parts)  # sorts, and rejects () and parts < 1
 
 

@@ -24,7 +24,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
-from .charpoly import IntPolynomial, Sign, _lambda_sign, _secular
+from .charpoly import IntPolynomial, Sign, _secular, lambda_s1_sign
 from .errors import BracketFailure
 from .partitions import Partition
 
@@ -226,7 +226,7 @@ def inertia(p: Partition) -> InertiaTriple:
     n, t, s, h = p.n, p.t, p.s, p.h
     if h == 0:
         return InertiaTriple(t, 0, n - t, "all-parts-ge-2")
-    sign = _lambda_sign(p)
+    sign = lambda_s1_sign(p)
     if sign is Sign.POSITIVE:
         return InertiaTriple(s + 1, 0, n - s - 1, "singleton-case-positive")
     if sign is Sign.ZERO:
@@ -240,7 +240,7 @@ def energy(p: Partition) -> EnergyReport:
     if h == 0:
         return EnergyReport(8 * (n - t))
     ip = 8 * (n - t) + 2 * (h - 1)
-    if _lambda_sign(p) is not Sign.NEGATIVE:
+    if lambda_s1_sign(p) is not Sign.NEGATIVE:
         return EnergyReport(ip)
     # a negative sign puts the lowest secular root in (-1, 0); neither end is a root
     return EnergyReport(ip, _isolate(deflated_residual(p), Fraction(-1), Fraction(0)))

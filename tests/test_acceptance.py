@@ -17,8 +17,8 @@ from sqdist.extremal import (
     scan_energy_h,
     scan_radius,
 )
+from sqdist import oracle
 from sqdist.oracle import symmetric_eigenvalues, sweep
-from sqdist.matrices import sqdist_from_partition
 from sqdist.partitions import (
     Partition,
     enumerate_class,
@@ -41,13 +41,22 @@ def _all_partitions(n_max):
 
 
 @pytest.fixture(scope="module")
-def oracle_eigenvalues():
-    """Jacobi eigenvalues of Delta for every partition with n <= 14, shared
-    by criteria 5, 6 and 11 so that no partition is diagonalised twice."""
-    return {
-        p: symmetric_eigenvalues(sqdist_from_partition(p)).eigenvalues
-        for p in _all_partitions(14)
-    }
+def oracle_sweep():
+    """sweep(14) and the Jacobi eigenvalues it computed, keyed by partition:
+    criterion 1 reads the summary, criteria 5, 6 and 11 the eigenvalues, so
+    no partition is diagonalised twice."""
+    computed = []
+
+    def recording(m):
+        result = symmetric_eigenvalues(m)
+        computed.append(result.eigenvalues)
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "symmetric_eigenvalues", recording)
+        summary = sweep(14)
+    assert len(computed) == summary.checked
+    return summary, {r.partition: e for r, e in zip(summary.records, computed)}
 
 
 def compare_radius(p, q):
@@ -68,8 +77,8 @@ def _report(num, desc):
 
 
 @_report(1, "closed-form spectrum == Jacobi oracle within 1e-9, n <= 14")
-def test_criterion_01_oracle_equivalence_sweep():
-    summary = sweep(14)
+def test_criterion_01_oracle_equivalence_sweep(oracle_sweep):
+    summary, _ = oracle_sweep
     assert summary.failure_count == 0, summary.failures[:3]
     assert summary.worst_eig_deviation <= 1e-9
 
@@ -152,7 +161,8 @@ def test_criterion_04_flat_landscape_17_10_6():
 
 
 @_report(5, "all parts >= 2, n <= 14: inertia (t,0,n-t), energy 8(n-t), oracle within 1e-7")
-def test_criterion_05_no_singleton_theorem(oracle_eigenvalues):
+def test_criterion_05_no_singleton_theorem(oracle_sweep):
+    _, oracle_eigenvalues = oracle_sweep
     for p in _all_partitions(14):
         if p.h > 0:
             continue
@@ -165,7 +175,8 @@ def test_criterion_05_no_singleton_theorem(oracle_eigenvalues):
 
 
 @_report(6, "three-way inertia classification matches oracle sign counts, n <= 14")
-def test_criterion_06_inertia_classification(oracle_eigenvalues):
+def test_criterion_06_inertia_classification(oracle_sweep):
+    _, oracle_eigenvalues = oracle_sweep
     zero_case_seen = False
     for p in _all_partitions(14):
         if p.h == 0:
@@ -237,7 +248,8 @@ def test_criterion_10_energy_scans():
 
 
 @_report(11, "exact determinant vs oracle product (rel 1e-6) and constant-term identity")
-def test_criterion_11_determinant(oracle_eigenvalues):
+def test_criterion_11_determinant(oracle_sweep):
+    _, oracle_eigenvalues = oracle_sweep
     for p in _all_partitions(12):
         det = det_delta_exact(p)
         eigs = oracle_eigenvalues[p]

@@ -303,14 +303,13 @@ class TestSignCriterion:
     def test_not_applicable(self):
         with pytest.raises(NotApplicable):
             lambda_s1_sign(Partition((2, 2)))
-        with pytest.raises(NotApplicable):
-            lambda_s1_sign(Partition((1, 1, 1)))
+        assert lambda_s1_sign(Partition((1, 1, 1))) is Sign.POSITIVE
 
     def test_agrees_with_rational_gap(self):
         # integer criterion == sign of (h-1) - sum ni/(3ni-4)
         for _, _, parts in all_partitions_upto(12):
             p = Partition(parts)
-            if p.h == 0 or p.s == 0:
+            if p.h == 0:
                 continue
             gap = criterion_gap(parts)
             expected = (
@@ -466,7 +465,7 @@ class TestGroupedCore:
     @settings(max_examples=300, deadline=None)
     @given(partitions_st)
     def test_sign_matches_reference(self, p):
-        if p.h == 0 or p.s == 0:
+        if p.h == 0:
             return
         assert lambda_s1_sign(p) is ref_lambda_s1_sign(p)
 

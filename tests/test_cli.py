@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -28,6 +31,22 @@ def _readme_commands() -> list[str]:
 def test_readme_cli_example_runs(capsys, argv):
     code, out, err = run(capsys, *argv.split())
     assert code == 0 and out, err
+
+
+def test_numpy_is_loaded_only_by_verify():
+    """A fresh interpreter imports the closed forms and the CLI without numpy;
+    `verify` imports the oracle, and so numpy, when it runs."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = "import sqdist, sqdist.cli, sys; print('numpy' in sys.modules)"
+    runs = [["-c", probe], ["-m", "sqdist.cli", "energy", "2,2,1"],
+            ["-m", "sqdist.cli", "verify", "--nmax", "3"]]
+    done = [
+        subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+        for argv in runs
+    ]
+    assert [d.returncode for d in done] == [0, 0, 0], [d.stderr for d in done]
+    assert done[0].stdout == "False\n"
 
 
 class TestQueries:
@@ -161,8 +180,10 @@ class TestExitCodes:
         assert err == "error: need h >= 1 singleton parts, got h=0\n"
 
     def test_single_part_is_domain_error(self, capsys):
-        code, _, _ = run(capsys, "energy", "5")
-        assert code == 1
+        for parts in ("5", "1"):
+            code, out, err = run(capsys, "energy", parts)
+            assert code == 1 and out == ""
+            assert err == "error: need at least two parts, got t = 1\n"
 
     def test_chain_identical_is_domain_error(self, capsys):
         code, out, err = run(capsys, "chain", "2,2", "2,2")
