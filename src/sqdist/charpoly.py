@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InfeasibleParameters, NotApplicable
+from .errors import SqDistError
 from .partitions import Partition
 
 
@@ -69,7 +70,13 @@ class IntPolynomial:
         return IntPolynomial(tuple(a))
 
     def to_json(self) -> dict:
-        return {"coeffs": [str(c) for c in self.coeffs], "ascending": True}
+        try:
+            return {"coeffs": [str(c) for c in self.coeffs], "ascending": True}
+        except ValueError as exc:  # str() refuses ints past the digit limit
+            limit = sys.get_int_max_str_digits()
+            raise SqDistError(
+                f"a coefficient has more than {limit} digits: too large to print"
+            ) from exc
 
 
 def _primitive(cs: Sequence[int]) -> list[int]:
@@ -174,12 +181,11 @@ MAX_RESIDUAL_DEGREE = 2000
 def char_poly_factored(p: Partition) -> FactoredCharPoly:
     """(x+4)^(n-t) * (x+1)^(h-1) * residual.
 
-    Raises InfeasibleParameters when the residual degree passes
-    MAX_RESIDUAL_DEGREE.
+    Raises SqDistError when the residual degree passes MAX_RESIDUAL_DEGREE.
     """
     degree = p.s + (p.h >= 1)
     if degree > MAX_RESIDUAL_DEGREE:
-        raise InfeasibleParameters(
+        raise SqDistError(
             f"residual degree {degree} > {MAX_RESIDUAL_DEGREE}: too large to expand"
         )
     factors = tuple((c, e) for c, e in ((4, p.n - p.t), (1, p.h - 1)) if e > 0)
@@ -192,10 +198,10 @@ def det_delta_exact(p: Partition) -> int:
 
     prod(3ni - 4) + sum_i ni * prod_{j!=i}(3nj - 4) over all parts, read
     off the grouped gap: prod_m (3m - 4)^(k-1) * num.
-    Raises InfeasibleParameters when n - t > 10^6.
+    Raises SqDistError when n - t > 10^6.
     """
     if p.n - p.t > 10**6:  # the factor (-4)^(n-t) alone has 2(n-t) bits
-        raise InfeasibleParameters(f"n - t = {p.n - p.t} > 10^6: (-4)^(n-t) is too large")
+        raise SqDistError(f"n - t = {p.n - p.t} > 10^6: (-4)^(n-t) is too large")
     total, _ = _gap(p.pairs)
     for m, k in p.pairs:
         total *= (3 * m - 4) ** (k - 1)
@@ -218,7 +224,7 @@ def lambda_s1_sign(p: Partition) -> Sign:
     integers.
     """
     if p.h == 0:
-        raise NotApplicable("sign criterion needs h >= 1")
+        raise SqDistError("sign criterion needs h >= 1")
     num, _ = _gap(p.pairs)
     if num > 0:
         return Sign.POSITIVE

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .charpoly import Sign, lambda_s1_sign
-from .errors import InfeasibleParameters
+from .errors import SqDistError
 from .partitions import (
     Partition,
     _check_nt,
@@ -172,11 +172,9 @@ def _scan(quantity, n, t, h, evaluate, compare) -> ScanReport:
         _check_nth(n, t, h)
         m, k = n - t, t - h
     if t > MAX_SCAN_MEMBERS:
-        raise InfeasibleParameters(f"t = {t} > {MAX_SCAN_MEMBERS} parts in each member")
+        raise SqDistError(f"t = {t} > {MAX_SCAN_MEMBERS} parts in each member")
     if count_partitions(m, k, MAX_SCAN_MEMBERS) > MAX_SCAN_MEMBERS:
-        raise InfeasibleParameters(
-            f"n = {n}, t = {t}: more than {MAX_SCAN_MEMBERS} partitions to scan"
-        )
+        raise SqDistError(f"n = {n}, t = {t}: more than {MAX_SCAN_MEMBERS} partitions to scan")
     members = list(enumerate_partitions(n, t) if h is None else enumerate_class(n, t, h))
     results = {p: evaluate(p) for p in members}
     argmax, argmin = _extrema(members, lambda a, b: compare(results[a], results[b]))
@@ -219,10 +217,10 @@ def scan_energy_h(n: int, t: int, h: int) -> ScanReport:
     Extremality at S_{n,t,h}/T_{n,t,h} always holds; uniqueness of both is
     asserted only under the paper-style condition that the Turan-like
     minimizer has lambda_{s+1} <= 0, and merely recorded otherwise.
-    Raises InfeasibleParameters for h < 1, where that sign is undefined.
+    Raises SqDistError for h < 1, where that sign is undefined.
     """
     if h < 1:
-        raise InfeasibleParameters(f"need h >= 1 singleton parts, got h={h}")
+        raise SqDistError(f"need h >= 1 singleton parts, got h={h}")
     report = _scan("energy", n, t, h, energy, compare_energy)
     s_nth, t_nth = split_h(n, t, h), turan_h(n, t, h)
     report.signs = {p: lambda_s1_sign(p).value for p, _ in report.values}

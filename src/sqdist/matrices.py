@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import bfs_distances
-from .errors import DisconnectedGraph, InfeasibleParameters
+from .errors import SqDistError
 from .partitions import Partition
 
 # Largest order built explicitly: the matrix holds n^2 floats and BFS a few
@@ -24,9 +24,7 @@ MAX_ORDER = 500
 
 def _check_order(p: Partition) -> None:
     if p.n > MAX_ORDER:
-        raise InfeasibleParameters(
-            f"order n = {p.n} > {MAX_ORDER}: too large to build explicitly"
-        )
+        raise SqDistError(f"order n = {p.n} > {MAX_ORDER}: too large to build explicitly")
 
 
 @dataclass
@@ -57,7 +55,7 @@ class SimpleGraph:
 def sqdist_from_partition(p: Partition) -> DenseSymMatrix:
     """Closed-form squared distance matrix of K_{n1,...,nt}.
 
-    Raises InfeasibleParameters above MAX_ORDER.
+    Raises SqDistError above MAX_ORDER.
     """
     _check_order(p)
     n = p.n
@@ -74,7 +72,7 @@ def sqdist_from_partition(p: Partition) -> DenseSymMatrix:
 def multipartite_graph(p: Partition) -> SimpleGraph:
     """Explicit K_{n1,...,nt}: edge iff endpoints lie in different parts.
 
-    Raises InfeasibleParameters above MAX_ORDER.
+    Raises SqDistError above MAX_ORDER.
     """
     _check_order(p)
     return SimpleGraph(parts=p.parts)
@@ -84,6 +82,6 @@ def sqdist_from_graph(g: SimpleGraph) -> DenseSymMatrix:
     """BFS all-pairs shortest paths, entrywise squared."""
     dist = bfs_distances(g.adjacency())
     if (dist < 0).any():
-        raise DisconnectedGraph("graph is not connected")
+        raise SqDistError("graph is not connected")
     sq = (dist.astype(np.float64)) ** 2
     return DenseSymMatrix(order=g.n, data=sq)

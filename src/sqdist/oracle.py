@@ -15,7 +15,7 @@ import numpy as np
 
 from ._kernels import jacobi_eigensystem
 from .charpoly import det_delta_exact
-from .errors import InfeasibleParameters, NoConvergence
+from .errors import SqDistError
 from .matrices import DenseSymMatrix, multipartite_graph, sqdist_from_graph
 from .partitions import Partition, enumerate_partitions
 from .spectrum import energy, full_spectrum, inertia
@@ -42,9 +42,7 @@ def symmetric_eigenvalues(m: DenseSymMatrix) -> EigenResult:
     tol_abs = JACOBI_TOL * norm if norm > 0 else JACOBI_TOL
     vals, sweeps, off = jacobi_eigensystem(m.data, tol_abs, MAX_SWEEPS)
     if off > tol_abs:
-        raise NoConvergence(
-            f"off-diagonal norm {off} above {tol_abs} after {sweeps} sweeps"
-        )
+        raise SqDistError(f"off-diagonal norm {off} above {tol_abs} after {sweeps} sweeps")
     return EigenResult(
         eigenvalues=tuple(sorted(vals.tolist(), reverse=True)),
         iterations=sweeps,
@@ -155,15 +153,13 @@ class SweepSummary:
 def sweep(n_max: int) -> SweepSummary:
     """verify_partition over every partition with 2 <= t <= n <= n_max.
 
-    Raises InfeasibleParameters before enumerating when n_max is below 2 or
+    Raises SqDistError before enumerating when n_max is below 2 or
     above MAX_SWEEP_NMAX.
     """
     if n_max < 2:
-        raise InfeasibleParameters("sweep needs n_max >= 2")
+        raise SqDistError("sweep needs n_max >= 2")
     if n_max > MAX_SWEEP_NMAX:
-        raise InfeasibleParameters(
-            f"nmax = {n_max} > {MAX_SWEEP_NMAX}: too many partitions to sweep"
-        )
+        raise SqDistError(f"nmax = {n_max} > {MAX_SWEEP_NMAX}: too many partitions to sweep")
     targets = [
         p
         for n in range(2, n_max + 1)

@@ -8,32 +8,23 @@ this tuple.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from typing import Iterator, Sequence
 
-from .errors import (
-    DisconnectedGraph,
-    EmptyInput,
-    Identical,
-    InfeasibleParameters,
-    MismatchedLength,
-    MismatchedTotals,
-    NonPositivePart,
-    NotMajorized,
-    PartCountBelowTwo,
-)
+from .errors import SqDistError
 
 
 @dataclass(frozen=True, order=True)
 class Partition:
     """Descending tuple of positive part sizes; the sole graph identifier.
 
-    The constructor sorts the parts descending and rejects what is not a
-    connected graph: no parts (EmptyInput), a part < 1 (NonPositivePart), or
-    one part >= 2, which has no edges (DisconnectedGraph); K_1 = (1,) is
-    connected.  canonicalize also rejects fewer than two parts.
+    The constructor sorts the parts descending and raises SqDistError for
+    what is not a connected graph: no parts, a part < 1, or one part >= 2,
+    which has no edges; K_1 = (1,) is connected.  canonicalize also rejects
+    fewer than two parts.
     Derived counts, kept out of eq, hash, order and repr (pairs is computed
     on first read): pairs = (size m, count k) over the distinct sizes, m
     ascending, so singletons are the group (1, h); n = sum of parts,
@@ -44,11 +35,11 @@ class Partition:
 
     def __post_init__(self) -> None:
         if not self.parts:
-            raise EmptyInput("partition must have at least one part")
+            raise SqDistError("partition must have at least one part")
         if min(self.parts) < 1:
-            raise NonPositivePart(f"all parts must be >= 1, got {list(self.parts)}")
+            raise SqDistError(f"all parts must be >= 1, got {list(self.parts)}")
         if len(self.parts) == 1 and self.parts[0] >= 2:
-            raise DisconnectedGraph(f"one part of {self.parts[0]} has no edges")
+            raise SqDistError(f"one part of {self.parts[0]} has no edges")
         object.__setattr__(self, "parts", tuple(sorted(self.parts, reverse=True)))
 
     @cached_property
@@ -89,25 +80,30 @@ def canonicalize(raw: Sequence[int]) -> Partition:
     """Validate and sort a raw part-size sequence into a Partition."""
     parts = tuple(raw)
     if len(parts) == 1 and parts[0] >= 1:  # a part < 1 is reported as such
-        raise PartCountBelowTwo("need at least two parts, got t = 1")
+        raise SqDistError("need at least two parts, got t = 1")
     return Partition(parts)  # sorts, and rejects () and parts < 1
 
 
+_TEXT = re.compile(r"\s*-?[0-9]+\s*(,\s*-?[0-9]+\s*)*", re.ASCII)
+
+
 def parse_partition(text: str) -> Partition:
-    """Parse the comma-separated textual form, e.g. '5,2,2,1'."""
+    """Parse the comma-separated textual form, e.g. '5,2,2,1': each part is
+    an ASCII integer, with optional whitespace around it."""
     try:
-        raw = [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise NonPositivePart(f"cannot parse partition {text!r}") from exc
-    return canonicalize(raw)
+        if _TEXT.fullmatch(text):
+            return canonicalize([int(tok) for tok in text.split(",")])
+    except ValueError:  # more digits than int() converts
+        pass
+    raise SqDistError(f"cannot parse partition {text!r}")
 
 
 def majorizes(x: Partition, y: Partition) -> Verdict:
     """Compare two partitions in the dominance (majorization) order."""
     if x.n != y.n:
-        raise MismatchedTotals(f"totals differ: {x.n} vs {y.n}")
+        raise SqDistError(f"totals differ: {x.n} vs {y.n}")
     if x.t != y.t:
-        raise MismatchedLength(f"lengths differ: {x.t} vs {y.t}")
+        raise SqDistError(f"lengths differ: {x.t} vs {y.t}")
     px, py = list(accumulate(x.parts)), list(accumulate(y.parts))
     x_dominates = all(a >= b for a, b in zip(px, py))
     y_dominates = all(b >= a for a, b in zip(px, py))
@@ -135,17 +131,17 @@ def elementary_chain(y: Partition, x: Partition) -> list[Partition]:
     are strictly apart on [j, k-1] and meet at k; so cur[j] > x[j] >= x[k]
     > cur[k], and the new tuple stays descending and still majorizes x.  Each
     step thus removes one unit of surplus, and the chain has exactly
-    sum max(0, yi - xi) links.  Raises InfeasibleParameters when that
-    exceeds MAX_CHAIN_STEPS.
+    sum max(0, yi - xi) links.  Raises SqDistError when that exceeds
+    MAX_CHAIN_STEPS.
     """
     verdict = majorizes(y, x)
     if verdict is Verdict.EQUAL:
-        raise Identical("chain endpoints are equal after sorting")
+        raise SqDistError("chain endpoints are equal after sorting")
     if verdict is not Verdict.STRICT:
-        raise NotMajorized(f"{y} does not strictly majorize {x}")
+        raise SqDistError(f"{y} does not strictly majorize {x}")
     excess = sum(max(0, a - b) for a, b in zip(y.parts, x.parts))
     if excess > MAX_CHAIN_STEPS:
-        raise InfeasibleParameters(f"chain needs {excess} steps > {MAX_CHAIN_STEPS}")
+        raise SqDistError(f"chain needs {excess} steps > {MAX_CHAIN_STEPS}")
 
     cur = list(y.parts)
     chain: list[Partition] = []
@@ -163,7 +159,7 @@ def elementary_chain(y: Partition, x: Partition) -> list[Partition]:
 
 def _check_nt(n: int, t: int) -> None:
     if not n >= t >= 2:
-        raise InfeasibleParameters(f"need n >= t >= 2, got n={n}, t={t}")
+        raise SqDistError(f"need n >= t >= 2, got n={n}, t={t}")
 
 
 def complete_split(n: int, t: int) -> Partition:
@@ -182,7 +178,7 @@ def turan(n: int, t: int) -> Partition:
 def _check_nth(n: int, t: int, h: int) -> int:
     s = t - h
     if not (n >= t >= 2 and h >= 0 and s >= 2 and n - h >= 2 * s):
-        raise InfeasibleParameters(
+        raise SqDistError(
             f"need t >= 2, s = t-h >= 2 and n-h >= 2s, got n={n}, t={t}, h={h}"
         )
     return s

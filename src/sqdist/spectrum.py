@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .charpoly import IntPolynomial, Sign, _secular, lambda_s1_sign
-from .errors import BracketFailure
+from .errors import SqDistError
 from .partitions import Partition
 
 BRACKET_WIDTH = Fraction(1, 10**12)
@@ -164,7 +164,7 @@ def _bisect(
     elif s_hi == 0:
         a = b
     elif s_lo == s_hi:
-        raise BracketFailure(f"no sign change of {poly.coeffs} on [{lo}, {hi}]")
+        raise SqDistError(f"no sign change of {poly.coeffs} on [{lo}, {hi}]")
     wn, wd = width.numerator, width.denominator
     for _ in range(BISECT_STEPS):
         if (b - a) * wd <= wn * d:

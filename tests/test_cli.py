@@ -169,26 +169,43 @@ class TestSweepsAndChains:
 
 
 class TestExitCodes:
-    def test_domain_error(self, capsys):
-        code, _, err = run(capsys, "energy", "0,2")
-        assert code == 1
-        assert "error" in err
-
-    def test_scan_h_without_singletons_is_domain_error(self, capsys):
-        code, out, err = run(capsys, "scan-h", "6", "3", "--h", "0")
-        assert code == 1 and out == ""
-        assert err == "error: need h >= 1 singleton parts, got h=0\n"
-
-    def test_single_part_is_domain_error(self, capsys):
-        for parts in ("5", "1"):
-            code, out, err = run(capsys, "energy", parts)
-            assert code == 1 and out == ""
-            assert err == "error: need at least two parts, got t = 1\n"
-
-    def test_chain_identical_is_domain_error(self, capsys):
-        code, out, err = run(capsys, "chain", "2,2", "2,2")
-        assert code == 1 and out == ""
-        assert err == "error: chain endpoints are equal after sorting\n"
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(["energy", "0,2"], "all parts must be >= 1, got [0, 2]", id="zero-part"),
+            pytest.param(["energy", "2,-1"], "all parts must be >= 1, got [2, -1]", id="negative"),
+            # a lone part < 1 is reported as such, not as a single part
+            pytest.param(["energy", "0"], "all parts must be >= 1, got [0]", id="lone-zero"),
+            pytest.param(["energy", "5"], "need at least two parts, got t = 1", id="single-part"),
+            pytest.param(["energy", "1"], "need at least two parts, got t = 1", id="k1"),
+            pytest.param(["energy", "2,x"], "cannot parse partition '2,x'", id="letter"),
+            pytest.param(["energy", "2,,1"], "cannot parse partition '2,,1'", id="empty-token"),
+            pytest.param(["energy", "5,2,"], "cannot parse partition '5,2,'", id="trailing-comma"),
+            pytest.param(["energy", ""], "cannot parse partition ''", id="empty-text"),
+            pytest.param(["energy", "3_0,1"], "cannot parse partition '3_0,1'", id="underscore"),
+            pytest.param(["energy", "\u0663,1"], "cannot parse partition '\u0663,1'", id="arabic-digit"),
+            # more digits than int() converts
+            pytest.param(["energy", "9" * 4301 + ",1"], f"cannot parse partition '{'9' * 4301},1'",
+                         id="4301-digits"),
+            pytest.param(["chain", "3,1", "2,2,1"], "totals differ: 4 vs 5", id="totals"),
+            pytest.param(["chain", "4,1,1", "3,3"], "lengths differ: 3 vs 2", id="lengths"),
+            pytest.param(["chain", "2,2", "3,1"], "2,2 does not strictly majorize 3,1",
+                         id="not-majorized"),
+            pytest.param(["chain", "2,2", "2,2"], "chain endpoints are equal after sorting",
+                         id="identical"),
+            pytest.param(["scan-h", "6", "3", "--h", "0"], "need h >= 1 singleton parts, got h=0",
+                         id="no-singletons"),
+            pytest.param(["verify", "--nmax", "1"], "sweep needs n_max >= 2", id="nmax-below-2"),
+            # residual degree 211 on parts of 10^20: a coefficient of 4302 digits
+            pytest.param(["charpoly", ",".join(["100000000000000000000"] * 210 + ["1"])],
+                         "a coefficient has more than 4300 digits: too large to print",
+                         id="charpoly-unprintable"),
+        ],
+    )
+    def test_domain_refusal(self, capsys, argv, message):
+        # every domain refusal exits 1 with its message as the one stderr line
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "argv, message",

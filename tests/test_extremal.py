@@ -11,7 +11,7 @@ import pytest
 from conftest import elementary_neighbors
 from sqdist import extremal
 from sqdist.charpoly import IntPolynomial
-from sqdist.errors import Identical, InfeasibleParameters, NotMajorized
+from sqdist.errors import SqDistError
 from sqdist.extremal import (
     MAX_SCAN_MEMBERS,
     ChainReport,
@@ -213,12 +213,12 @@ class TestChain:
         assert report.steps[-1].energy_value == 140.0
 
     def test_not_majorized(self):
-        with pytest.raises(NotMajorized):
+        with pytest.raises(SqDistError, match="2,2,2 does not strictly majorize 3,2,1"):
             verify_chain_monotone(Partition((2, 2, 2)), Partition((3, 2, 1)))
 
     def test_equal_endpoints_are_refused_before_evaluating(self, monkeypatch):
         calls = _count_calls(monkeypatch, "spectral_radius_root")
-        with pytest.raises(Identical, match="equal after sorting"):
+        with pytest.raises(SqDistError, match="equal after sorting"):
             verify_chain_monotone(Partition((2, 2)), Partition((2, 2)))
         assert not calls
 
@@ -285,13 +285,13 @@ class TestSingleEvaluation:
 
     def test_scan_h_without_singletons_evaluates_nothing(self, monkeypatch):
         calls = _count_calls(monkeypatch, "energy")
-        with pytest.raises(InfeasibleParameters, match="h >= 1"):
+        with pytest.raises(SqDistError, match="h >= 1"):
             scan_energy_h(6, 3, 0)
         assert not calls
 
     def test_oversized_class_is_refused_before_evaluating(self, monkeypatch):
         calls = _count_calls(monkeypatch, "energy")
-        with pytest.raises(InfeasibleParameters, match=f"more than {MAX_SCAN_MEMBERS}"):
+        with pytest.raises(SqDistError, match=f"more than {MAX_SCAN_MEMBERS}"):
             scan_energy_h(400, 15, 7)
         assert not calls
 

@@ -11,7 +11,7 @@ from conftest import (
     triangle_distances,
 )
 from sqdist._kernels import bfs_distances
-from sqdist.errors import DisconnectedGraph, InfeasibleParameters
+from sqdist.errors import SqDistError
 from sqdist.matrices import (
     MAX_ORDER,
     SimpleGraph,
@@ -37,9 +37,9 @@ class TestMaxOrder:
 
     @pytest.mark.parametrize("build", [sqdist_from_partition, multipartite_graph])
     def test_larger_orders_refused(self, build):
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(SqDistError, match=f"order n = {MAX_ORDER + 1} > {MAX_ORDER}: too large"):
             build(Partition((MAX_ORDER - 1, 2)))
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(SqDistError, match=f"order n = {10**20 + 1} > {MAX_ORDER}"):
             build(Partition((10**20, 1)))
 
 
@@ -98,7 +98,7 @@ class TestGraphConstruction:
 
     def test_single_part_is_disconnected(self):
         # a part of 3 has no edges; Partition((3,)) itself is refused
-        with pytest.raises(DisconnectedGraph):
+        with pytest.raises(SqDistError, match="graph is not connected"):
             sqdist_from_graph(SimpleGraph((3,)))
 
 

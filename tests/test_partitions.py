@@ -5,17 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_partitions, prefix_dominates
-from sqdist.errors import (
-    DisconnectedGraph,
-    EmptyInput,
-    Identical,
-    InfeasibleParameters,
-    MismatchedLength,
-    MismatchedTotals,
-    NonPositivePart,
-    NotMajorized,
-    PartCountBelowTwo,
-)
+from sqdist.errors import SqDistError
 from sqdist.partitions import (
     MAX_CHAIN_STEPS,
     Partition,
@@ -55,36 +45,40 @@ class TestCanonicalize:
         assert (p.n, p.t, p.h, p.s) == (11, 4, 0, 4)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(SqDistError, match="partition must have at least one part"):
             canonicalize([])
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(NonPositivePart):
+        with pytest.raises(SqDistError, match=r"all parts must be >= 1, got \[3, 0\]"):
             canonicalize([3, 0])
-        with pytest.raises(NonPositivePart):
+        with pytest.raises(SqDistError, match=r"all parts must be >= 1, got \[-1, 2\]"):
             canonicalize([-1, 2])
 
     def test_constructor_sorts_and_validates(self):
         assert Partition((1, 2, 2)) == canonicalize([2, 2, 1])
-        with pytest.raises(NonPositivePart):
+        with pytest.raises(SqDistError, match=r"all parts must be >= 1, got \[2, 0\]"):
             Partition((2, 0))
 
     def test_single_part_rejected(self):
-        with pytest.raises(PartCountBelowTwo):
+        with pytest.raises(SqDistError, match="need at least two parts, got t = 1"):
             canonicalize([4])
 
     def test_constructor_rejects_what_is_not_a_connected_graph(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(SqDistError, match="partition must have at least one part"):
             Partition(())
-        with pytest.raises(DisconnectedGraph):
+        with pytest.raises(SqDistError, match="one part of 5 has no edges"):
             Partition((5,))  # edgeless: Delta is undefined
         assert Partition((1,)).n == 1  # K_1 is connected
 
     def test_parse(self):
         assert parse_partition("5,2,2,1").parts == (5, 2, 2, 1)
         assert parse_partition("1,2,2").parts == (2, 2, 1)
-        with pytest.raises(NonPositivePart):
-            parse_partition("2,x")
+        assert parse_partition(" 5 , 2 ").parts == (5, 2)
+        for text in ("2,x", "2,,1", "5,2,", "", "3_0,1", "+3,1", "\u0663,1", "9" * 4301 + ",1"):
+            with pytest.raises(SqDistError, match="cannot parse partition"):
+                parse_partition(text)
+        with pytest.raises(SqDistError, match=r"all parts must be >= 1, got \[2, -1\]"):
+            parse_partition("2,-1")
 
 
 # raw part lists of at least two parts, unsorted, with repeated sizes,
@@ -130,11 +124,11 @@ class TestMajorizes:
         assert majorizes(y, x) is Verdict.INCOMPARABLE
 
     def test_mismatched_totals(self):
-        with pytest.raises(MismatchedTotals):
+        with pytest.raises(SqDistError, match="totals differ: 6 vs 7"):
             majorizes(Partition((4, 1, 1)), Partition((3, 3, 1)))
 
     def test_mismatched_length(self):
-        with pytest.raises(MismatchedLength):
+        with pytest.raises(SqDistError, match="lengths differ: 2 vs 3"):
             majorizes(Partition((3, 3)), Partition((3, 2, 1)))
 
     def test_split_majorizes_everything(self):
@@ -174,11 +168,11 @@ class TestElementaryChain:
         assert [c.parts for c in chain] == [(3, 2, 1), (2, 2, 2)]
 
     def test_identical_rejected(self):
-        with pytest.raises(Identical):
+        with pytest.raises(SqDistError, match="chain endpoints are equal after sorting"):
             elementary_chain(Partition((2, 2)), Partition((2, 2)))
 
     def test_not_majorized_rejected(self):
-        with pytest.raises(NotMajorized):
+        with pytest.raises(SqDistError, match="2,2 does not strictly majorize 3,1"):
             elementary_chain(Partition((2, 2)), Partition((3, 1)))
 
     def test_longest_allowed_chain(self):
@@ -186,7 +180,7 @@ class TestElementaryChain:
         k = MAX_CHAIN_STEPS
         chain = elementary_chain(Partition((2 * k + 1, 1)), Partition((k + 1, k + 1)))
         assert len(chain) == k
-        with pytest.raises(InfeasibleParameters, match="steps"):
+        with pytest.raises(SqDistError, match="steps"):
             elementary_chain(Partition((2 * k + 3, 1)), Partition((k + 2, k + 2)))
 
     def _check_chain(self, y, x):
@@ -269,13 +263,13 @@ class TestExtremalFamilies:
         assert turan_h(31, 15, 7).parts == (3,) * 8 + (1,) * 7
 
     def test_infeasible(self):
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(SqDistError, match="need n >= t >= 2, got n=3, t=4"):
             complete_split(3, 4)
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(SqDistError, match="need n >= t >= 2, got n=5, t=1"):
             turan(5, 1)
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(SqDistError, match="n-h >= 2s, got n=5, t=3, h=2"):
             split_h(5, 3, 2)  # s = 1
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(SqDistError, match="n-h >= 2s, got n=5, t=3, h=0"):
             turan_h(5, 3, 0)  # n - h < 2s
 
 
@@ -302,7 +296,7 @@ class TestEnumeration:
         assert got == [(4,) + (2,) * 2000 + (1,), (3, 3) + (2,) * 1999 + (1,)]
 
     def test_guard(self):
-        with pytest.raises(InfeasibleParameters):
+        with pytest.raises(SqDistError, match="need n >= t >= 2, got n=3, t=4"):
             list(enumerate_partitions(3, 4))
 
     def test_class_enumeration(self):

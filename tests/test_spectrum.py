@@ -6,7 +6,7 @@ import pytest
 
 from conftest import all_partitions_upto, certified, poly_mul, radius_bipartite_closed
 from sqdist.charpoly import IntPolynomial, Sign, lambda_s1_sign
-from sqdist.errors import BracketFailure
+from sqdist.errors import SqDistError
 from sqdist.extremal import _compare_roots
 from sqdist.partitions import Partition, canonicalize
 from sqdist.spectrum import (
@@ -46,7 +46,7 @@ def _fraction_bisect(poly, lo, hi, max_steps, width):
         mid = lo if s_lo == 0 else hi
         return mid, mid
     if s_lo == s_hi:
-        raise BracketFailure("no sign change")
+        raise SqDistError("no sign change")
     for _ in range(max_steps):
         if hi - lo <= width:
             break
@@ -118,7 +118,7 @@ class TestBisect:
                 assert _bisect(p, lo, hi, width) == _fraction_bisect(p, lo, hi, BISECT_STEPS, width)
 
     def test_no_sign_change(self):
-        with pytest.raises(BracketFailure):
+        with pytest.raises(SqDistError, match=r"no sign change of \(-5, 1\) on \[0, 1\]"):
             _bisect(IntPolynomial((-5, 1)), Fraction(0), Fraction(1), BRACKET_WIDTH)
 
 
