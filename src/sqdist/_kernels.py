@@ -2,10 +2,14 @@
 
 Both are plain numpy.  Jacobi visits the pairs of each sweep in the parallel
 (round-robin) cyclic ordering of Brent and Luk (1985).  The pairs of a round
-are disjoint, so their rotations commute and are applied together as
-whole-array column and row updates: n - 1 rounds of numpy calls per sweep
-instead of n(n-1)/2 single rotations.  BFS expands the frontiers of all
-sources at once.
+are disjoint, so their rotations commute.  A round stacks its h = n // 2
+rotations as one (h, 2, 2) array and applies them with two batched matmuls:
+one on the h row pairs (p, q), gathered as h blocks of 2 x n, and one on the
+column pairs through the transposed view.  The entries a[p, q] and a[q, p]
+that the round annihilates are then set to exactly 0, so no rounding residue
+is left for the next sweep to chase.  That makes n - 1 rounds of a few numpy
+calls per sweep instead of n(n-1)/2 single rotations.  BFS expands the
+frontiers of all sources at once.
 """
 
 from __future__ import annotations
@@ -41,28 +45,32 @@ def jacobi_eigensystem(mat: np.ndarray, tol_abs: float, max_sweeps: int):
     exactly 0 gets the identity rotation (c = 1, s = 0).
     """
     a = np.array(mat, dtype=np.float64, copy=True)
-    rounds = round_robin(a.shape[0])
+    n = a.shape[0]
+    h = n // 2  # pairs in every round, odd n included
+    # each round's rows p and q interleaved, so a[pq] is h stacked 2 x n blocks
+    rounds = [(p, q, np.stack((p, q), axis=1).ravel()) for p, q in round_robin(n)]
+    rot = np.empty((h, 2, 2))
     for sweeps in range(max_sweeps + 1):
         off = math.sqrt(2.0 * np.sum(np.triu(a, 1) ** 2))
         if off <= tol_abs:
             break
-        for p, q in rounds:
+        for p, q, pq in rounds:
             apq = a[p, q]
-            nonzero = apq != 0.0
-            theta = (a[q, q] - a[p, p]) / (2.0 * np.where(nonzero, apq, 1.0))
-            t = np.where(
-                nonzero,
-                np.copysign(1.0, theta) / (np.abs(theta) + np.sqrt(1.0 + theta * theta)),
-                0.0,
+            delta = a[q, q] - a[p, p]
+            # tan of the smaller rotation angle, sign(theta) / (|theta| + sqrt(1 +
+            # theta^2)) for theta = delta / 2apq, scaled by 2|apq| so that no
+            # quotient overflows when apq is tiny; apq = 0 gives t = 0
+            t = np.copysign(2.0, delta) * apq / (
+                np.abs(delta) + np.hypot(delta, 2.0 * np.where(apq != 0.0, apq, 1.0))
             )
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
-            col_p, col_q = a[:, p], a[:, q]
-            a[:, p] = c * col_p - s * col_q
-            a[:, q] = s * col_p + c * col_q
-            row_p, row_q = a[p, :], a[q, :]
-            a[p, :] = c[:, None] * row_p - s[:, None] * row_q
-            a[q, :] = s[:, None] * row_p + c[:, None] * row_q
+            rot[:, 0, 0] = rot[:, 1, 1] = c
+            rot[:, 0, 1] = -s
+            rot[:, 1, 0] = s
+            a[pq] = (rot @ a[pq].reshape(h, 2, n)).reshape(2 * h, n)
+            a.T[pq] = (rot @ a.T[pq].reshape(h, 2, n)).reshape(2 * h, n)
+            a[p, q] = a[q, p] = 0.0
     return np.diag(a).copy(), sweeps, off
 
 

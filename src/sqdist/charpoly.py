@@ -70,13 +70,18 @@ class IntPolynomial:
         return IntPolynomial(tuple(a))
 
     def to_json(self) -> dict:
-        try:
-            return {"coeffs": [str(c) for c in self.coeffs], "ascending": True}
-        except ValueError as exc:  # str() refuses ints past the digit limit
-            limit = sys.get_int_max_str_digits()
-            raise SqDistError(
-                f"a coefficient has more than {limit} digits: too large to print"
-            ) from exc
+        coeffs = [_to_text(c, "a coefficient") for c in self.coeffs]
+        return {"coeffs": coeffs, "ascending": True}
+
+
+def _to_text(x, what: str) -> str:
+    """str(x) of an int or Fraction; raises SqDistError naming what when x
+    passes Python's int-to-text digit limit."""
+    try:
+        return str(x)
+    except ValueError as exc:  # str() refuses ints past the digit limit
+        limit = sys.get_int_max_str_digits()
+        raise SqDistError(f"{what} has more than {limit} digits: too large to print") from exc
 
 
 def _primitive(cs: Sequence[int]) -> list[int]:

@@ -31,10 +31,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(payload) -> None:
-    if isinstance(payload, str):
-        sys.stdout.write(payload + "\n")
-    else:
-        sys.stdout.write(json.dumps(payload) + "\n")
+    if not isinstance(payload, str):
+        try:
+            payload = json.dumps(payload)
+        except ValueError as exc:  # an int past Python's int-to-text digit limit
+            limit = sys.get_int_max_str_digits()
+            raise SqDistError(
+                f"an integer has more than {limit} digits: too large to print"
+            ) from exc
+    sys.stdout.write(payload + "\n")
 
 
 @functools.cache
@@ -80,7 +85,7 @@ def build_parser() -> _Parser:
 def _spectrum_csv(report) -> str:
     lines = ["value,multiplicity,lo,hi,kind"]
     for v, m in report.exact:
-        lines.append(f"{float(v):.12g},{m},,,exact")
+        lines.append(f"{spectrum._to_float(v):.12g},{m},,,exact")
     for r in report.isolated:
         lines.append(f"{r.value:.12g},1,{r.lo:.12g},{r.hi:.12g},isolated")
     return "\n".join(lines)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .charpoly import Sign, lambda_s1_sign
+from .charpoly import Sign
 from .errors import SqDistError
 from .partitions import (
     Partition,
@@ -154,7 +154,7 @@ def _extrema(members, cmp):
     return argmax, argmin
 
 
-def _scan(quantity, n, t, h, evaluate, compare) -> ScanReport:
+def _scan(quantity, n, t, h, evaluate, compare) -> tuple[ScanReport, dict]:
     """Evaluate each member once and rank the results exactly.
 
     The members are the partitions of n into t parts, or M(n,t,h) when h is
@@ -162,8 +162,8 @@ def _scan(quantity, n, t, h, evaluate, compare) -> ScanReport:
     less 1 each).  Before any is built, the parameters are checked, and
     t > MAX_SCAN_MEMBERS (each member is a t-tuple) or over MAX_SCAN_MEMBERS
     members are refused.  compare orders two results of evaluate (-1/0/+1);
-    each result's .value is the float the report lists.  The caller checks
-    the claims after.
+    each result's .value is the float the report lists.  Returns the report
+    and each member's result; the caller checks the claims after.
     """
     if h is None:
         _check_nt(n, t)
@@ -178,7 +178,7 @@ def _scan(quantity, n, t, h, evaluate, compare) -> ScanReport:
     members = list(enumerate_partitions(n, t) if h is None else enumerate_class(n, t, h))
     results = {p: evaluate(p) for p in members}
     argmax, argmin = _extrema(members, lambda a, b: compare(results[a], results[b]))
-    return ScanReport(
+    report = ScanReport(
         quantity=quantity,
         n=n,
         t=t,
@@ -187,6 +187,7 @@ def _scan(quantity, n, t, h, evaluate, compare) -> ScanReport:
         argmax=argmax,
         argmin=argmin,
     )
+    return report, results
 
 
 def scan_energy(n: int, t: int) -> ScanReport:
@@ -195,7 +196,7 @@ def scan_energy(n: int, t: int) -> ScanReport:
     Turan minimality is unique exactly when n <= 2t+1; above that ties are
     guaranteed (several partitions with all parts >= 2 share 8(n-t)).
     """
-    report = _scan("energy", n, t, None, energy, compare_energy)
+    report, _ = _scan("energy", n, t, None, energy, compare_energy)
     s_nt, t_nt = complete_split(n, t), turan(n, t)
     violated = report.violated_claims
     if s_nt not in report.argmax:
@@ -221,15 +222,16 @@ def scan_energy_h(n: int, t: int, h: int) -> ScanReport:
     """
     if h < 1:
         raise SqDistError(f"need h >= 1 singleton parts, got h={h}")
-    report = _scan("energy", n, t, h, energy, compare_energy)
+    report, results = _scan("energy", n, t, h, energy, compare_energy)
     s_nth, t_nth = split_h(n, t, h), turan_h(n, t, h)
-    report.signs = {p: lambda_s1_sign(p).value for p, _ in report.values}
+    # each member's sign was decided once, by its energy
+    report.signs = {p: r.sign.value for p, r in results.items()}
     violated = report.violated_claims
     if s_nth not in report.argmax:
         violated.append(f"energy max not at {s_nth}")
     if t_nth not in report.argmin:
         violated.append(f"energy min not at {t_nth}")
-    if lambda_s1_sign(t_nth) is not Sign.POSITIVE:
+    if results[t_nth].sign is not Sign.POSITIVE:
         if not report.max_unique:
             violated.append("max not unique despite lambda_{s+1}(T) <= 0")
         if not report.min_unique:
@@ -239,7 +241,7 @@ def scan_energy_h(n: int, t: int, h: int) -> ScanReport:
 
 def scan_radius(n: int, t: int) -> ScanReport:
     """Spectral radius over every partition; strict unique extrema."""
-    report = _scan("radius", n, t, None, spectral_radius_root, _compare_roots)
+    report, _ = _scan("radius", n, t, None, spectral_radius_root, _compare_roots)
     s_nt, t_nt = complete_split(n, t), turan(n, t)
     if report.argmax != [s_nt]:
         report.violated_claims.append(f"radius max not uniquely at {s_nt}")

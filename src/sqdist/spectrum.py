@@ -24,12 +24,20 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
-from .charpoly import IntPolynomial, Sign, _secular, lambda_s1_sign
+from .charpoly import IntPolynomial, Sign, _secular, _to_text, lambda_s1_sign
 from .errors import SqDistError
 from .partitions import Partition
 
 BRACKET_WIDTH = Fraction(1, 10**12)
 BISECT_STEPS = 60
+
+
+def _to_float(x) -> float:
+    """float(x) of an int or Fraction; raises SqDistError past the float range."""
+    try:
+        return float(x)
+    except OverflowError as exc:
+        raise SqDistError("a value above 1.8e308 does not fit in a float") from exc
 
 
 @dataclass(frozen=True)
@@ -48,15 +56,15 @@ class IsolatedRoot:
 
     @cached_property
     def value(self) -> float:
-        return float((self.lo_exact + self.hi_exact) / 2)
+        return _to_float((self.lo_exact + self.hi_exact) / 2)
 
     @property
     def lo(self) -> float:
-        return float(self.lo_exact)
+        return _to_float(self.lo_exact)
 
     @property
     def hi(self) -> float:
-        return float(self.hi_exact)
+        return _to_float(self.hi_exact)
 
     def refined(self) -> "IsolatedRoot":
         """The bracket after a further run of bisection; a point stays."""
@@ -78,7 +86,7 @@ class SpectrumReport:
         """All eigenvalues with multiplicity, descending."""
         vals: list[float] = []
         for v, mult in self.exact:
-            vals.extend([float(v)] * mult)
+            vals.extend([_to_float(v)] * mult)
         vals.extend(r.value for r in self.isolated)
         return sorted(vals, reverse=True)
 
@@ -87,7 +95,9 @@ class SpectrumReport:
 
     def to_json(self) -> dict:
         return {
-            "exact": [{"value": str(v), "mult": m} for v, m in self.exact],
+            "exact": [
+                {"value": _to_text(v, "an eigenvalue"), "mult": m} for v, m in self.exact
+            ],
             "isolated": [r.to_json() for r in self.isolated],
         }
 
@@ -110,10 +120,14 @@ class InertiaTriple:
 
 @dataclass(frozen=True)
 class EnergyReport:
-    """Energy = integer_part + 2*theta; theta present iff lambda_{s+1} < 0."""
+    """Energy = integer_part + 2*theta; theta present iff lambda_{s+1} < 0.
+
+    sign is the exact sign of lambda_{s+1} that decided it; None when h = 0.
+    """
 
     integer_part: int
     theta_root: Optional[IsolatedRoot] = None  # the negative root -theta itself
+    sign: Optional[Sign] = None
 
     @property
     def theta(self) -> Optional[float]:
@@ -122,11 +136,12 @@ class EnergyReport:
     @property
     def value(self) -> float:
         theta = self.theta
-        return float(self.integer_part) if theta is None else self.integer_part + 2 * theta
+        ip = _to_float(self.integer_part)
+        return ip if theta is None else ip + 2 * theta
 
     def to_json(self) -> dict:
         return {
-            "integer_part": str(self.integer_part),
+            "integer_part": _to_text(self.integer_part, "the integer part"),
             "theta": self.theta,
             "value": self.value,
         }
@@ -240,10 +255,11 @@ def energy(p: Partition) -> EnergyReport:
     if h == 0:
         return EnergyReport(8 * (n - t))
     ip = 8 * (n - t) + 2 * (h - 1)
-    if lambda_s1_sign(p) is not Sign.NEGATIVE:
-        return EnergyReport(ip)
+    sign = lambda_s1_sign(p)
+    if sign is not Sign.NEGATIVE:
+        return EnergyReport(ip, sign=sign)
     # a negative sign puts the lowest secular root in (-1, 0); neither end is a root
-    return EnergyReport(ip, _isolate(deflated_residual(p), Fraction(-1), Fraction(0)))
+    return EnergyReport(ip, _isolate(deflated_residual(p), Fraction(-1), Fraction(0)), sign)
 
 
 def spectral_radius_root(p: Partition) -> IsolatedRoot:

@@ -168,6 +168,9 @@ class TestSweepsAndChains:
         assert all(json.loads(line)["passed"] for line in lines[:-1])
 
 
+_NO_FLOAT = "a value above 1.8e308 does not fit in a float"
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
@@ -200,6 +203,21 @@ class TestExitCodes:
             pytest.param(["charpoly", ",".join(["100000000000000000000"] * 210 + ["1"])],
                          "a coefficient has more than 4300 digits: too large to print",
                          id="charpoly-unprintable"),
+            # parts past the float range are refused where a value becomes a float
+            pytest.param(["energy", "9" * 320 + ",1"], _NO_FLOAT, id="energy-past-float"),
+            pytest.param(["radius", "9" * 320 + ",1"], _NO_FLOAT, id="radius-past-float"),
+            pytest.param(["spectrum", "9" * 320 + ",1"], _NO_FLOAT, id="spectrum-past-float"),
+            pytest.param(["spectrum", "--csv", "9" * 320 + "," + "9" * 320 + ",1"], _NO_FLOAT,
+                         id="spectrum-csv-past-float"),
+            pytest.param(["chain", "9" * 320 + ",1", "9" * 319 + "8,2"], _NO_FLOAT,
+                         id="chain-past-float"),
+            # ... or becomes text: 8(n - t), and n_minus of two such parts, have 4301 digits
+            pytest.param(["energy", "9" * 4300 + ",1"],
+                         "the integer part has more than 4300 digits: too large to print",
+                         id="energy-unprintable"),
+            pytest.param(["inertia", "9" * 4300 + "," + "9" * 4300 + ",1"],
+                         "an integer has more than 4300 digits: too large to print",
+                         id="inertia-unprintable"),
         ],
     )
     def test_domain_refusal(self, capsys, argv, message):

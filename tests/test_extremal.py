@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import elementary_neighbors
-from sqdist import extremal
-from sqdist.charpoly import IntPolynomial
+from sqdist import charpoly, extremal
+from sqdist.charpoly import IntPolynomial, lambda_s1_sign
 from sqdist.errors import SqDistError
 from sqdist.extremal import (
     MAX_SCAN_MEMBERS,
@@ -282,6 +282,21 @@ class TestSingleEvaluation:
         assert other_calls == Counter(p for p, _ in report.values)
         column = report.quantity
         assert [row[column] for row in rows] == [f"{v:.12g}" for _, v in report.values]
+
+    def test_scan_h_decides_each_sign_once(self, monkeypatch):
+        # energy decides lambda_{s+1}'s sign, and report.signs reuses it
+        gaps = Counter()
+        gap = charpoly._gap
+
+        def counted(pairs):
+            gaps[pairs] += 1
+            return gap(pairs)
+
+        monkeypatch.setattr(charpoly, "_gap", counted)
+        report = scan_energy_h(31, 15, 7)
+        assert len(report.values) == 22
+        assert gaps == Counter(p.pairs for p, _ in report.values)
+        assert report.signs == {p: lambda_s1_sign(p).value for p, _ in report.values}
 
     def test_scan_h_without_singletons_evaluates_nothing(self, monkeypatch):
         calls = _count_calls(monkeypatch, "energy")

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import time
+import warnings
 from unittest.mock import Mock
 
 import numpy as np
@@ -9,9 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqdist import oracle
-from sqdist._kernels import round_robin
+from sqdist._kernels import jacobi_eigensystem, round_robin
 from sqdist.errors import SqDistError
-from sqdist.matrices import MAX_ORDER, DenseSymMatrix, sqdist_from_graph, sqdist_from_partition
+from sqdist.matrices import (
+    MAX_ORDER,
+    DenseSymMatrix,
+    multipartite_graph,
+    sqdist_from_graph,
+    sqdist_from_partition,
+)
 from sqdist.oracle import (
     symmetric_eigenvalues,
     sweep,
@@ -62,6 +69,38 @@ class TestRoundRobin:
 def _random_symmetric(rng, n):
     m = rng.normal(size=(n, n))
     return (m + m.T) / 2
+
+
+class TestJacobiKernel:
+    """jacobi_eigensystem itself: rounds of batched 2 x 2 rotations."""
+
+    @pytest.mark.parametrize("n", [*range(1, 14), 41, 119])
+    def test_matches_eigvalsh(self, n):
+        sym = _random_symmetric(np.random.default_rng(n), n)
+        norm = np.linalg.norm(sym)
+        vals, _, off = jacobi_eigensystem(sym, 1e-12 * norm, 100)
+        assert off <= 1e-12 * norm
+        ref = np.linalg.eigvalsh(sym)
+        assert np.max(np.abs(np.sort(vals) - ref)) <= 1e-12 * norm
+
+    def test_tiny_entries_raise_no_warning(self):
+        # delta / (2 apq) overflows when apq is near 1e-300; the tangent
+        # formula never forms that quotient
+        sym = _random_symmetric(np.random.default_rng(5), 8)
+        p, q = round_robin(8)[0]
+        sym[p, q] = sym[q, p] = 1e-300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, _, off = jacobi_eigensystem(sym, 1e-12 * np.linalg.norm(sym), 100)
+        assert off <= 1e-12 * np.linalg.norm(sym)
+        assert np.allclose(np.sort(vals), np.linalg.eigvalsh(sym), rtol=0, atol=1e-12)
+
+    def test_order_120_delta_converges_in_five_sweeps(self):
+        # five sweeps before the rotations were batched; without zeroing the
+        # annihilated entries the rounding residue takes seven
+        delta = sqdist_from_graph(multipartite_graph(Partition((40, 30, 20, 15, 10, 5))))
+        assert delta.order == 120
+        assert symmetric_eigenvalues(delta).iterations <= 5
 
 
 class TestJacobiEigenvalues:
