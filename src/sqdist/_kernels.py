@@ -1,19 +1,29 @@
-"""Hot numeric kernels: round-robin Jacobi eigensolver and BFS all-pairs distances.
+"""Hot numeric kernels: threshold round-robin Jacobi eigensolver and BFS distances.
 
 Both are plain numpy.  Jacobi visits the pairs of each sweep in the parallel
-(round-robin) cyclic ordering of Brent and Luk (1985).  The pairs of a round
-are disjoint, so their rotations commute.  A round stacks its h = n // 2
-rotations as one (h, 2, 2) array and applies them with two batched matmuls:
-one on the h row pairs (p, q), gathered as h blocks of 2 x n, and one on the
-column pairs through the transposed view.  The entries a[p, q] and a[q, p]
-that the round annihilates are then set to exactly 0, so no rounding residue
-is left for the next sweep to chase.  That makes n - 1 rounds of a few numpy
-calls per sweep instead of n(n-1)/2 single rotations.  BFS expands the
-frontiers of all sources at once.
+(round-robin) cyclic ordering of Brent and Luk (1985), whose schedule is built
+once per order and cached.  The pairs of a round are disjoint, so their
+rotations commute.  It is a threshold Jacobi (Rutishauser, "The Jacobi method
+for real symmetric matrices", Numer. Math. 9, 1966): a round rotates only its
+live pairs, those with |a[p, q]| > tol_abs / n, and skips a round with none.
+The k live rotations are stacked as one (k, 2, 2) array and applied with two
+batched matmuls: one on the k row pairs (p, q), gathered as k blocks of 2 x n,
+and one on the column pairs through the transposed view.  The entries a[p, q]
+and a[q, p] that the round annihilates are then set to exactly 0, so no
+rounding residue is left for the next sweep to chase.
+
+The skip cannot stall the loop.  A sweep that skips every pair changes
+nothing, and then every off-diagonal entry is at most tol_abs / n, so the
+off-diagonal norm is at most sqrt(n(n-1)) * tol_abs / n < tol_abs and the next
+check stops.  The loop still ends only on that check or at max_sweeps.
+
+BFS expands the frontiers of all sources at once, as one float64 matmul; the
+path counts it forms are at most n, so they are exact.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -37,39 +47,58 @@ def round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
+@functools.lru_cache(maxsize=8)  # 2 MB at n = 500, so at most 16 MB
+def schedule(n: int) -> np.ndarray:
+    """round_robin(n) as one read-only (rounds, n // 2, 2) array of (p, q) rows.
+
+    A round's rows, raveled, interleave p and q, so a[pairs.ravel()] gathers
+    its row pairs as stacked 2 x n blocks.
+    """
+    rounds = round_robin(n)
+    sched = np.array([np.stack(pq, axis=1) for pq in rounds], dtype=np.intp)
+    sched = sched.reshape(len(rounds), n // 2, 2)
+    sched.setflags(write=False)
+    return sched
+
+
 def jacobi_eigensystem(mat: np.ndarray, tol_abs: float, max_sweeps: int):
-    """Cyclic Jacobi rotations on a copy of mat; returns (eigvals, sweeps, off).
+    """Threshold cyclic Jacobi on a copy of mat; returns (eigvals, sweeps, off).
 
     Sweeps stop once the off-diagonal norm is at most tol_abs or after
     max_sweeps sweeps; off is the last norm measured.  A pair whose entry is
-    exactly 0 gets the identity rotation (c = 1, s = 0).
+    at most tol_abs / n in magnitude is not rotated.
     """
     a = np.array(mat, dtype=np.float64, copy=True)
     n = a.shape[0]
-    h = n // 2  # pairs in every round, odd n included
-    # each round's rows p and q interleaved, so a[pq] is h stacked 2 x n blocks
-    rounds = [(p, q, np.stack((p, q), axis=1).ravel()) for p, q in round_robin(n)]
-    rot = np.empty((h, 2, 2))
+    thresh = tol_abs / max(n, 1)
+    sched = schedule(n)
+    rot = np.empty((n // 2, 2, 2))
     for sweeps in range(max_sweeps + 1):
         off = math.sqrt(2.0 * np.sum(np.triu(a, 1) ** 2))
         if off <= tol_abs:
             break
-        for p, q, pq in rounds:
+        for pairs, p, q in zip(sched, sched[:, :, 0], sched[:, :, 1]):
             apq = a[p, q]
+            live = np.abs(apq) > thresh
+            if not live.all():
+                if not live.any():
+                    continue
+                pairs, p, q, apq = pairs[live], p[live], q[live], apq[live]
+            k = len(apq)
             delta = a[q, q] - a[p, p]
             # tan of the smaller rotation angle, sign(theta) / (|theta| + sqrt(1 +
             # theta^2)) for theta = delta / 2apq, scaled by 2|apq| so that no
-            # quotient overflows when apq is tiny; apq = 0 gives t = 0
-            t = np.copysign(2.0, delta) * apq / (
-                np.abs(delta) + np.hypot(delta, 2.0 * np.where(apq != 0.0, apq, 1.0))
-            )
+            # quotient overflows when apq is tiny; a live apq is never 0
+            t = np.copysign(2.0, delta) * apq / (np.abs(delta) + np.hypot(delta, 2.0 * apq))
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
-            rot[:, 0, 0] = rot[:, 1, 1] = c
-            rot[:, 0, 1] = -s
-            rot[:, 1, 0] = s
-            a[pq] = (rot @ a[pq].reshape(h, 2, n)).reshape(2 * h, n)
-            a.T[pq] = (rot @ a.T[pq].reshape(h, 2, n)).reshape(2 * h, n)
+            r = rot[:k]
+            r[:, 0, 0] = r[:, 1, 1] = c
+            r[:, 0, 1] = -s
+            r[:, 1, 0] = s
+            pq = pairs.ravel()
+            a[pq] = (r @ a[pq].reshape(k, 2, n)).reshape(2 * k, n)
+            a.T[pq] = (r @ a.T[pq].reshape(k, 2, n)).reshape(2 * k, n)
             a[p, q] = a[q, p] = 0.0
     return np.diag(a).copy(), sweeps, off
 
@@ -80,11 +109,11 @@ def bfs_distances(adj: np.ndarray) -> np.ndarray:
     reach = np.eye(n, dtype=bool)
     frontier = np.eye(n, dtype=bool)
     dist = np.where(reach, 0, -1).astype(np.int64)
-    adj_b = adj.astype(bool)
+    adj_f = adj.astype(np.float64)
     d = 0
     while frontier.any():
         d += 1
-        frontier = (frontier @ adj_b) & ~reach
+        frontier = ((frontier @ adj_f) > 0) & ~reach
         dist[frontier] = d
         reach |= frontier
     return dist

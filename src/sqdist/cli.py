@@ -126,7 +126,14 @@ def run(argv) -> int:
             if not report.ok:
                 return EXIT_VERIFY
         elif args.command == "verify":
-            from . import oracle  # numpy is loaded only here
+            try:
+                from . import oracle  # numpy is loaded only here
+            except ModuleNotFoundError as exc:
+                if exc.name != "numpy":
+                    raise
+                raise SqDistError(
+                    "verify needs numpy: install the oracle extra, pip install 'sqdist[oracle]'"
+                ) from exc
             summary = oracle.sweep(args.nmax)
             _emit(summary.to_json_lines())
             sys.stderr.write(f"{summary.failure_count} failures\n")

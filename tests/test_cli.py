@@ -49,6 +49,18 @@ def test_numpy_is_loaded_only_by_verify():
     assert done[0].stdout == "False\n"
 
 
+def test_verify_without_numpy_names_the_extra():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = ("import sys; sys.modules['numpy'] = None; from sqdist import cli; "
+             "raise SystemExit(cli.run(['verify', '--nmax', '3']))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == (
+        "error: verify needs numpy: install the oracle extra, pip install 'sqdist[oracle]'\n"
+    )
+
+
 class TestQueries:
     def test_spectrum_json(self, capsys):
         code, out, _ = run(capsys, "spectrum", "2,2,1")

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import time
 import warnings
 from unittest.mock import Mock
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqdist import oracle
-from sqdist._kernels import jacobi_eigensystem, round_robin
+from sqdist._kernels import jacobi_eigensystem, round_robin, schedule
 from sqdist.errors import SqDistError
 from sqdist.matrices import (
     MAX_ORDER,
@@ -65,6 +66,17 @@ class TestRoundRobin:
             seen += zip(p.tolist(), q.tolist())
         assert sorted(seen) == [(i, j) for i in range(n) for j in range(i + 1, n)]
 
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_cached_schedule_is_round_robin_and_read_only(self, n):
+        sched = schedule(n)
+        assert sched is schedule(n)
+        assert sched.shape == (len(round_robin(n)), n // 2, 2)
+        for pairs, (p, q) in zip(sched, round_robin(n)):
+            assert pairs[:, 0].tolist() == p.tolist() and pairs[:, 1].tolist() == q.tolist()
+        assert not sched.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            sched[..., 0] = 0
+
 
 def _random_symmetric(rng, n):
     m = rng.normal(size=(n, n))
@@ -85,22 +97,51 @@ class TestJacobiKernel:
 
     def test_tiny_entries_raise_no_warning(self):
         # delta / (2 apq) overflows when apq is near 1e-300; the tangent
-        # formula never forms that quotient
+        # formula never forms that quotient.  A tol_abs below 8 * 1e-300 keeps
+        # the tiny pivots above tol_abs / n, so they are rotated, not skipped.
         sym = _random_symmetric(np.random.default_rng(5), 8)
         p, q = round_robin(8)[0]
         sym[p, q] = sym[q, p] = 1e-300
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            vals, _, off = jacobi_eigensystem(sym, 1e-12 * np.linalg.norm(sym), 100)
-        assert off <= 1e-12 * np.linalg.norm(sym)
-        assert np.allclose(np.sort(vals), np.linalg.eigvalsh(sym), rtol=0, atol=1e-12)
+            vals, sweeps, off = jacobi_eigensystem(sym, 1e-300, 3)
+        assert sweeps == 3
+        assert np.all(np.isfinite(vals)) and math.isfinite(off)
 
-    def test_order_120_delta_converges_in_five_sweeps(self):
-        # five sweeps before the rotations were batched; without zeroing the
-        # annihilated entries the rounding residue takes seven
+    def test_pivots_below_threshold_are_skipped(self):
+        # off-diagonal noise just under tol_abs / n and one large pair: the
+        # sweep rotates the large pair and whatever it stirs above the
+        # threshold, and the noise left behind is already below tol_abs
+        n = 10
+        rng = np.random.default_rng(2)
+        sym = np.diag(np.arange(1.0, n + 1))
+        sym[0, 1] = sym[1, 0] = 3.0
+        tol_abs = 1e-12 * np.linalg.norm(sym)
+        noise = np.triu(rng.choice([-0.99, 0.99], size=(n, n)) * tol_abs / n, 1)
+        noise[0, 1] = 0.0
+        sym += noise + noise.T
+        vals, sweeps, off = jacobi_eigensystem(sym, tol_abs, 100)
+        assert sweeps <= 1 and off <= tol_abs
+        ref = np.linalg.eigvalsh(sym)
+        assert np.max(np.abs(np.sort(vals) - ref)) <= 1e-12 * np.linalg.norm(sym)
+
+    def test_pivots_between_threshold_and_tol_are_rotated(self):
+        # every entry is below tol_abs but above tol_abs / n, and together
+        # they put the off-norm above tol_abs: a larger threshold would skip
+        # them all and stall until max_sweeps
+        n = 10
+        sym = np.diag(np.arange(1.0, n + 1))
+        tol_abs = 1e-12 * np.linalg.norm(sym)
+        sym += 0.5 * tol_abs * (np.ones((n, n)) - np.eye(n))
+        _, sweeps, off = jacobi_eigensystem(sym, tol_abs, 5)
+        assert 1 <= sweeps < 5 and off <= tol_abs
+
+    def test_order_120_delta_converges_in_four_sweeps(self):
+        # rotations of rounding residue below tol_abs / n are skipped, and
+        # annihilated entries are set to exactly 0 so no residue is chased
         delta = sqdist_from_graph(multipartite_graph(Partition((40, 30, 20, 15, 10, 5))))
         assert delta.order == 120
-        assert symmetric_eigenvalues(delta).iterations <= 5
+        assert symmetric_eigenvalues(delta).iterations <= 4
 
 
 class TestJacobiEigenvalues:
