@@ -29,34 +29,23 @@ import math
 import numpy as np
 
 
-def round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One sweep of Brent-Luk rounds, each as index arrays (P, Q) with P < Q.
+@functools.lru_cache(maxsize=8)  # 2 MB at n = 500, so at most 16 MB
+def schedule(n: int) -> np.ndarray:
+    """One sweep of Brent-Luk rounds as a read-only (rounds, n // 2, 2) array.
 
-    Every pair p < q of range(n) lies in exactly one round and no index
-    occurs twice in a round.  Odd n is padded with a dummy index whose pairs
-    are dropped, which gives n rounds; even n gives n - 1.
+    Each row is a pair (p, q) with p < q.  Every pair of range(n) lies in
+    exactly one round and no index occurs twice in a round.  Odd n is padded
+    with a dummy index whose pairs are dropped, which gives n rounds; even n
+    gives n - 1.  A round's rows, raveled, interleave p and q, so
+    a[pairs.ravel()] gathers its row pairs as stacked 2 x n blocks.
     """
     m = n + n % 2
     top, bot = list(range(0, m, 2)), list(range(1, m, 2))
     rounds = []
     for _ in range(m - 1):
-        pairs = np.array([pq for pq in zip(top, bot) if max(pq) < n], dtype=np.intp)
-        pairs = np.sort(pairs.reshape(-1, 2), axis=1)
-        rounds.append((pairs[:, 0], pairs[:, 1]))
+        rounds.append([sorted(pq) for pq in zip(top, bot) if max(pq) < n])
         top, bot = top[:1] + bot[:1] + top[1:-1], bot[1:] + top[-1:]
-    return rounds
-
-
-@functools.lru_cache(maxsize=8)  # 2 MB at n = 500, so at most 16 MB
-def schedule(n: int) -> np.ndarray:
-    """round_robin(n) as one read-only (rounds, n // 2, 2) array of (p, q) rows.
-
-    A round's rows, raveled, interleave p and q, so a[pairs.ravel()] gathers
-    its row pairs as stacked 2 x n blocks.
-    """
-    rounds = round_robin(n)
-    sched = np.array([np.stack(pq, axis=1) for pq in rounds], dtype=np.intp)
-    sched = sched.reshape(len(rounds), n // 2, 2)
+    sched = np.array(rounds, dtype=np.intp).reshape(len(rounds), n // 2, 2)
     sched.setflags(write=False)
     return sched
 

@@ -74,9 +74,9 @@ class IntPolynomial:
         return {"coeffs": coeffs, "ascending": True}
 
 
-def _to_text(x, what: str) -> str:
-    """str(x) of an int or Fraction; raises SqDistError naming what when x
-    passes Python's int-to-text digit limit."""
+def _to_text(x: int, what: str) -> str:
+    """str(x) of an int; raises SqDistError naming what when x passes
+    Python's int-to-text digit limit."""
     try:
         return str(x)
     except ValueError as exc:  # str() refuses ints past the digit limit

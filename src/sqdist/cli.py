@@ -82,15 +82,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _spectrum_csv(report) -> str:
-    lines = ["value,multiplicity,lo,hi,kind"]
-    for v, m in report.exact:
-        lines.append(f"{spectrum._to_float(v):.12g},{m},,,exact")
-    for r in report.isolated:
-        lines.append(f"{r.value:.12g},1,{r.lo:.12g},{r.hi:.12g},isolated")
-    return "\n".join(lines)
-
-
 def run(argv) -> int:
     args = build_parser().parse_args(argv)
 
@@ -99,7 +90,7 @@ def run(argv) -> int:
             p = partitions.parse_partition(args.partition)
         if args.command == "spectrum":
             report = spectrum.full_spectrum(p)
-            _emit(_spectrum_csv(report) if args.csv else report.to_json())
+            _emit(report.to_csv() if args.csv else report.to_json())
         elif args.command == "inertia":
             _emit(spectrum.inertia(p).to_json())
         elif args.command == "energy":

@@ -18,6 +18,7 @@ from .charpoly import Sign
 from .errors import SqDistError
 from .partitions import (
     Partition,
+    _check_ints,
     _check_nt,
     _check_nth,
     complete_split,
@@ -218,8 +219,10 @@ def scan_energy_h(n: int, t: int, h: int) -> ScanReport:
     Extremality at S_{n,t,h}/T_{n,t,h} always holds; uniqueness of both is
     asserted only under the paper-style condition that the Turan-like
     minimizer has lambda_{s+1} <= 0, and merely recorded otherwise.
-    Raises SqDistError for h < 1, where that sign is undefined.
+    Raises SqDistError for an h that is not an int, and for h < 1, where
+    that sign is undefined.
     """
+    _check_ints(h=h)
     if h < 1:
         raise SqDistError(f"need h >= 1 singleton parts, got h={h}")
     report, results = _scan("energy", n, t, h, energy, compare_energy)

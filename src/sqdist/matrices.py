@@ -32,7 +32,6 @@ class DenseSymMatrix:
     """Symmetric float matrix; multipartite entries are the integers 0, 1
     and 4, stored as floats because the eigensolver consumes floats."""
 
-    order: int
     data: np.ndarray = field(repr=False)
 
 
@@ -42,10 +41,6 @@ class SimpleGraph:
     numbered part by part, and two are adjacent iff their parts differ."""
 
     parts: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
 
     def adjacency(self) -> np.ndarray:
         labels = np.repeat(np.arange(len(self.parts)), self.parts)
@@ -66,7 +61,7 @@ def sqdist_from_partition(p: Partition) -> DenseSymMatrix:
         data[block, block] = 4.0
         offset += size
     np.fill_diagonal(data, 0.0)
-    return DenseSymMatrix(order=n, data=data)
+    return DenseSymMatrix(data)
 
 
 def multipartite_graph(p: Partition) -> SimpleGraph:
@@ -83,5 +78,4 @@ def sqdist_from_graph(g: SimpleGraph) -> DenseSymMatrix:
     dist = bfs_distances(g.adjacency())
     if (dist < 0).any():
         raise SqDistError("graph is not connected")
-    sq = (dist.astype(np.float64)) ** 2
-    return DenseSymMatrix(order=g.n, data=sq)
+    return DenseSymMatrix(dist.astype(np.float64) ** 2)

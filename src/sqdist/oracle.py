@@ -2,7 +2,7 @@
 
 This module shares no closed-form code with charpoly/spectrum.  Δ is built
 by its definition, squared BFS distances on the explicit multipartite graph,
-and its eigenvalues come from plain cyclic Jacobi rotations.
+and its eigenvalues come from threshold round-robin Jacobi rotations.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from ._kernels import jacobi_eigensystem
 from .charpoly import det_delta_exact
 from .errors import SqDistError
 from .matrices import DenseSymMatrix, multipartite_graph, sqdist_from_graph
-from .partitions import Partition, enumerate_partitions
+from .partitions import Partition, _check_ints, enumerate_partitions
 from .spectrum import energy, full_spectrum, inertia
 
 JACOBI_TOL = 1e-12  # off-norm target relative to ||M||
@@ -153,9 +153,10 @@ class SweepSummary:
 def sweep(n_max: int) -> SweepSummary:
     """verify_partition over every partition with 2 <= t <= n <= n_max.
 
-    Raises SqDistError before enumerating when n_max is below 2 or
-    above MAX_SWEEP_NMAX.
+    Raises SqDistError before enumerating when n_max is not an int, is
+    below 2 or is above MAX_SWEEP_NMAX.
     """
+    _check_ints(n_max=n_max)
     if n_max < 2:
         raise SqDistError("sweep needs n_max >= 2")
     if n_max > MAX_SWEEP_NMAX:

@@ -8,6 +8,7 @@ this tuple.
 from __future__ import annotations
 
 import enum
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -21,10 +22,11 @@ from .errors import SqDistError
 class Partition:
     """Descending tuple of positive part sizes; the sole graph identifier.
 
-    The constructor sorts the parts descending and raises SqDistError for
-    what is not a connected graph: no parts, a part < 1, or one part >= 2,
-    which has no edges; K_1 = (1,) is connected.  canonicalize also rejects
-    fewer than two parts.
+    The constructor makes each part an int (numpy integers too), sorts them
+    descending and raises SqDistError for a part that is not an integer and
+    for what is not a connected graph: no parts, a part < 1, or one part
+    >= 2, which has no edges; K_1 = (1,) is connected.  canonicalize also
+    rejects fewer than two parts.
     Derived counts, kept out of eq, hash, order and repr (pairs is computed
     on first read): pairs = (size m, count k) over the distinct sizes, m
     ascending, so singletons are the group (1, h); n = sum of parts,
@@ -34,13 +36,17 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.parts:
+        try:
+            parts = sorted(map(operator.index, self.parts), reverse=True)
+        except TypeError as exc:
+            raise SqDistError(f"parts must be integers, got {self.parts!r}") from exc
+        if not parts:
             raise SqDistError("partition must have at least one part")
-        if min(self.parts) < 1:
-            raise SqDistError(f"all parts must be >= 1, got {list(self.parts)}")
-        if len(self.parts) == 1 and self.parts[0] >= 2:
-            raise SqDistError(f"one part of {self.parts[0]} has no edges")
-        object.__setattr__(self, "parts", tuple(sorted(self.parts, reverse=True)))
+        if parts[-1] < 1:
+            raise SqDistError(f"all parts must be >= 1, got {list(map(int, self.parts))}")
+        if len(parts) == 1 and parts[0] >= 2:
+            raise SqDistError(f"one part of {parts[0]} has no edges")
+        object.__setattr__(self, "parts", tuple(parts))
 
     @cached_property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -157,7 +163,15 @@ def elementary_chain(y: Partition, x: Partition) -> list[Partition]:
     return chain
 
 
+def _check_ints(**named) -> None:
+    """Raise SqDistError naming the first value that is not an int."""
+    for name, value in named.items():
+        if not isinstance(value, int):
+            raise SqDistError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_nt(n: int, t: int) -> None:
+    _check_ints(n=n, t=t)
     if not n >= t >= 2:
         raise SqDistError(f"need n >= t >= 2, got n={n}, t={t}")
 
@@ -176,6 +190,7 @@ def turan(n: int, t: int) -> Partition:
 
 
 def _check_nth(n: int, t: int, h: int) -> int:
+    _check_ints(n=n, t=t, h=h)
     s = t - h
     if not (n >= t >= 2 and h >= 0 and s >= 2 and n - h >= 2 * s):
         raise SqDistError(

@@ -68,7 +68,7 @@ class IsolatedRoot:
 
     def refined(self) -> "IsolatedRoot":
         """The bracket after a further run of bisection; a point stays."""
-        lo, hi = _bisect(self.poly, self.lo_exact, self.hi_exact, Fraction(0))
+        lo, hi = _bisect(self.poly, self.lo_exact, self.hi_exact, 0)
         return IsolatedRoot(lo, hi, self.poly)
 
     def to_json(self) -> dict:
@@ -77,9 +77,9 @@ class IsolatedRoot:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Closed-form spectrum: exact rational part plus isolated simple roots."""
+    """Closed-form spectrum: exact integer part plus isolated simple roots."""
 
-    exact: tuple[tuple[Fraction, int], ...]
+    exact: tuple[tuple[int, int], ...]
     isolated: tuple[IsolatedRoot, ...]
 
     def eigenvalues(self) -> list[float]:
@@ -100,6 +100,12 @@ class SpectrumReport:
             ],
             "isolated": [r.to_json() for r in self.isolated],
         }
+
+    def to_csv(self) -> str:
+        """One row per exact eigenvalue with its multiplicity, then one per root."""
+        rows = [f"{_to_float(v):.12g},{m},,,exact" for v, m in self.exact]
+        rows += [f"{r.value:.12g},1,{r.lo:.12g},{r.hi:.12g},isolated" for r in self.isolated]
+        return "\n".join(["value,multiplicity,lo,hi,kind"] + rows)
 
 
 @dataclass(frozen=True)
@@ -158,7 +164,7 @@ def deflated_residual(p: Partition) -> IntPolynomial:
 
 
 def _bisect(
-    poly: IntPolynomial, lo: Fraction, hi: Fraction, width: Fraction
+    poly: IntPolynomial, lo: Fraction | int, hi: Fraction | int, width: Fraction | int
 ) -> tuple[Fraction, Fraction]:
     """Shrink [lo, hi] around the single root of poly inside it.
 
@@ -196,15 +202,15 @@ def _bisect(
     return Fraction(a, d), Fraction(b, d)
 
 
-def _isolate(poly: IntPolynomial, lo: Fraction, hi: Fraction) -> IsolatedRoot:
+def _isolate(poly: IntPolynomial, lo: Fraction | int, hi: Fraction | int) -> IsolatedRoot:
     return IsolatedRoot(*_bisect(poly, lo, hi, BRACKET_WIDTH), poly)
 
 
-def _perron_bracket(p: Partition) -> tuple[Fraction, Fraction]:
+def _perron_bracket(p: Partition) -> tuple[int, int]:
     """[4(n1 - 1), 3n1 + n - 4]: a strict lower bound on the Perron value
     at or above the largest pole 3n1 - 4, and the max-row-sum bound."""
     n1 = p.parts[0]
-    return Fraction(4 * (n1 - 1)), Fraction(3 * n1 + p.n - 4)
+    return 4 * (n1 - 1), 3 * n1 + p.n - 4
 
 
 def secular_roots(p: Partition) -> list[IsolatedRoot]:
@@ -217,9 +223,9 @@ def secular_roots(p: Partition) -> list[IsolatedRoot]:
     a root (lambda_{s+1} = 0).
     """
     poly = deflated_residual(p)
-    ends = [Fraction(3 * m - 4) for m, _ in p.pairs]
+    ends = [3 * m - 4 for m, _ in p.pairs]
     if poly.coeffs[0] == 0:
-        ends[0] = Fraction(0)
+        ends[0] = 0
     gaps = [_isolate(poly, lo, hi) for lo, hi in zip(ends, ends[1:])]
     return gaps + [_isolate(poly, *_perron_bracket(p))]
 
@@ -228,9 +234,9 @@ def full_spectrum(p: Partition) -> SpectrumReport:
     """Assemble the exact and isolated parts; multiplicities sum to n."""
     # k equal sizes m give 3m-4 with multiplicity k-1; the singletons' -1 last
     groups = sorted(p.pairs, key=lambda mk: mk[0] == 1)
-    exact = [(Fraction(3 * m - 4), k - 1) for m, k in groups if k >= 2]
+    exact = [(3 * m - 4, k - 1) for m, k in groups if k >= 2]
     if p.n - p.t > 0:
-        exact.append((Fraction(-4), p.n - p.t))
+        exact.append((-4, p.n - p.t))
     report = SpectrumReport(exact=tuple(exact), isolated=tuple(secular_roots(p)))
     assert report.total_multiplicity() == p.n
     return report
@@ -259,7 +265,7 @@ def energy(p: Partition) -> EnergyReport:
     if sign is not Sign.NEGATIVE:
         return EnergyReport(ip, sign=sign)
     # a negative sign puts the lowest secular root in (-1, 0); neither end is a root
-    return EnergyReport(ip, _isolate(deflated_residual(p), Fraction(-1), Fraction(0)), sign)
+    return EnergyReport(ip, _isolate(deflated_residual(p), -1, 0), sign)
 
 
 def spectral_radius_root(p: Partition) -> IsolatedRoot:

@@ -31,9 +31,9 @@ class TestMaxOrder:
     def test_largest_allowed_order_builds(self):
         p = Partition((MAX_ORDER - 2, 1, 1))
         m = sqdist_from_partition(p)
-        assert m.order == MAX_ORDER and m.data[0, MAX_ORDER - 1] == 1.0
+        assert m.data.shape == (MAX_ORDER, MAX_ORDER) and m.data[0, MAX_ORDER - 1] == 1.0
         g = multipartite_graph(p)
-        assert g.n == MAX_ORDER and g.adjacency().sum() == 2 * (2 * (MAX_ORDER - 2) + 1)
+        assert sum(g.parts) == MAX_ORDER and g.adjacency().sum() == 2 * (2 * (MAX_ORDER - 2) + 1)
 
     @pytest.mark.parametrize("build", [sqdist_from_partition, multipartite_graph])
     def test_larger_orders_refused(self, build):
@@ -72,7 +72,7 @@ class TestClosedForm:
             data = m.data
             assert np.allclose(data, data.T)
             assert np.all(np.diag(data) == 0)
-            off = data[~np.eye(m.order, dtype=bool)]
+            off = data[~np.eye(len(data), dtype=bool)]
             assert set(np.unique(off)) <= {1.0, 4.0}
 
 
@@ -134,6 +134,6 @@ class TestBfsRoute:
 
     def test_matches_floyd_warshall(self):
         g = multipartite_graph(Partition((3, 2, 1)))
-        fw = triangle_distances(_edges(g), g.n)
+        fw = triangle_distances(_edges(g), sum(g.parts))
         sq = sqdist_from_graph(g).data.tolist()
         assert sq == [[d * d for d in row] for row in fw]

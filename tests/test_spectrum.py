@@ -220,18 +220,27 @@ class TestSecularRoots:
 class TestFullSpectrum:
     def test_2_2_2(self):
         rep = full_spectrum(Partition((2, 2, 2)))
-        assert dict(rep.exact) == {Fraction(2): 2, Fraction(-4): 3}
+        assert dict(rep.exact) == {2: 2, -4: 3}
         _approx_set([r.value for r in rep.isolated], [8.0])
 
     def test_2_1_1(self):
         rep = full_spectrum(Partition((2, 1, 1)))
-        assert dict(rep.exact) == {Fraction(-1): 1, Fraction(-4): 1}
+        assert dict(rep.exact) == {-1: 1, -4: 1}
         _approx_set([r.value for r in rep.isolated], [0.0, 5.0])
 
     def test_k4(self):
         rep = full_spectrum(Partition((1, 1, 1, 1)))
-        assert dict(rep.exact) == {Fraction(-1): 3}
+        assert dict(rep.exact) == {-1: 3}
         _approx_set([r.value for r in rep.isolated], [3.0])
+
+    @pytest.mark.parametrize(
+        "parts",
+        [(3, 3, 2, 2, 2), (4, 4, 2, 1, 1), (8, 4, 4, 3, 1, 1, 1)],
+        ids=["no-singletons", "singletons", "knife-edge"],
+    )
+    def test_exact_eigenvalues_are_ints(self, parts):
+        exact = full_spectrum(Partition(parts)).exact
+        assert exact and all(type(v) is int for v, _ in exact)
 
     def test_multiplicities_and_trace(self):
         for _, _, parts in all_partitions_upto(12):
